@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: all build test race lint bench-smoke bench-ledger
+.PHONY: all build test race lint bench-smoke bench-ledger sweepd-gate perfbench
 
 all: build lint test
 
@@ -45,3 +45,14 @@ bench-ledger:
 	@cat /tmp/bench-ledger.txt
 	awk -f scripts/benchledger.awk -v mode=gate -v factor=3 -v skip='^BenchmarkBuildDirect/|^BenchmarkMemoryFootprint$$' bench/LEDGER.ndjson /tmp/bench-ledger.txt
 	awk -f scripts/benchgate.awk -v mode=ratio -v metric='ns/rw' -v num='^BenchmarkBatchVsScalarSweep/batch' -v den='^BenchmarkBatchVsScalarSweep/scalar' -v factor=1.15 /tmp/bench-ledger.txt
+
+# The sweep service conformance gate: sweepd's bytes must equal the CLI's
+# on the golden sweep, and a repeat must be a cache hit. The script stops
+# the sweepd it starts on every exit path.
+sweepd-gate:
+	bash scripts/sweepd_gate.sh
+
+# The end-to-end benchmark module's vet and tests, plus a 5-second smoke
+# of every BENCHMARK.json workload that must report "correct":true.
+perfbench:
+	bash scripts/perfbench_smoke.sh

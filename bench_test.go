@@ -118,7 +118,6 @@ func BenchmarkSimStep(b *testing.B) {
 				IDs:       gather.AssignIDs(k, g.N(), rng),
 				Positions: place.Random(g, k, rng),
 			}
-			sc.Certify()
 			w, err := sc.NewFasterWorld()
 			if err != nil {
 				b.Fatal(err)
@@ -322,7 +321,6 @@ func BenchmarkFasterGatheringManyRobots(b *testing.B) {
 			IDs:       gather.AssignIDs(k, n, rng),
 			Positions: place.MaxMinDispersed(g, k, rng),
 		}
-		sc.Certify()
 		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
 		if err != nil || !res.DetectionCorrect {
 			b.Fatalf("failed: %v %+v", err, res)
@@ -404,7 +402,6 @@ func BenchmarkBeepGathering(b *testing.B) {
 	rng := graph.NewRNG(11)
 	g := graph.FromFamily(graph.FamCycle, 7, rng)
 	sc := &gather.Scenario{G: g, IDs: []int{5, 12}, Positions: []int{0, 3}}
-	sc.Certify()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
@@ -508,7 +505,6 @@ func BenchmarkSweepPooledWorld(b *testing.B) {
 		b.Fatal(err)
 	}
 	shared := &gather.Scenario{G: g}
-	shared.Certify()
 	buildJobs := func() []runner.Job {
 		out := make([]runner.Job, jobs)
 		for i := range out {
@@ -544,8 +540,9 @@ func BenchmarkSweepPooledWorld(b *testing.B) {
 // BenchmarkSweepSharedGraph pins the payoff of shared-graph sweeps: the
 // same 64-job batch (k-robot Undispersed-Gathering, 8 rounds each) run
 // with per-job graph construction ("rebuild", the pre-freeze pattern)
-// versus every job referencing one frozen graph and certified config
-// ("shared", zero per-job graph work). allocs/op is per batch.
+// versus every job referencing one frozen graph ("shared", zero per-job
+// graph work). The rebuild arm measures per-job graph build only: T comes
+// from n, so no job walks a coverage check. allocs/op is per batch.
 func BenchmarkSweepSharedGraph(b *testing.B) {
 	const (
 		jobs     = 64
@@ -560,14 +557,12 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 			out[i] = runner.Job{Build: func(seed uint64) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				sc := shared
-				if sc == nil { // rebuild arm: graph + certification per job
+				if sc == nil { // rebuild arm: graph per job
 					g, err := graph.BuildWorkload(wlSpec, graph.NewRNG(baseSeed))
 					if err != nil {
 						return nil, 0, err
 					}
-					s := &gather.Scenario{G: g}
-					s.Certify()
-					sc = s
+					sc = &gather.Scenario{G: g}
 				}
 				job := *sc
 				job.IDs = gather.AssignIDs(k, job.G.N(), rng)
@@ -594,7 +589,6 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 			b.Fatal(err)
 		}
 		shared := &gather.Scenario{G: g}
-		shared.Certify()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -186,14 +186,8 @@ func printCatalog() {
 }
 
 // The scenario-building core — placement engines, scheduler derivation,
-// world construction, the certification/diameter size bound — lives in
-// internal/serve, shared verbatim with the sweepd service so the two
-// paths cannot drift; the wrappers below keep this file's call sites
-// readable.
-
-// certifyScenario runs the scenario's UXS certification when the instance
-// is small enough for the coverage walk to be feasible.
-func certifyScenario(sc *gather.Scenario) { serve.CertifyScenario(sc) }
+// world construction, the diameter size bound — lives in internal/serve,
+// shared verbatim with the sweepd service so the two paths cannot drift.
 
 // diameterLabel formats the graph's diameter, or "n/a" when the instance
 // is too large for the all-pairs BFS.
@@ -203,17 +197,6 @@ func diameterLabel(g *graph.Graph) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%d", d)
-}
-
-// buildSched parses the -sched spec into a fresh per-run scheduler (see
-// serve.BuildSched for the seed-decorrelation contract).
-func buildSched(spec string, seed uint64) (sim.Scheduler, error) {
-	return serve.BuildSched(spec, seed)
-}
-
-// placeRobots draws k starting positions on g with the requested engine.
-func placeRobots(g *graph.Graph, placement string, k int, rng *graph.RNG) ([]int, error) {
-	return serve.PlaceRobots(g, placement, k, rng)
 }
 
 // buildScenario instantiates the requested scenario shape from one seed:
@@ -227,20 +210,11 @@ func buildScenario(wl *graph.Workload, placement string, k int, seed uint64) (*g
 	if k < 1 {
 		return nil, fmt.Errorf("need at least one robot")
 	}
-	pos, err := placeRobots(g, placement, k, rng)
+	pos, err := serve.PlaceRobots(g, placement, k, rng)
 	if err != nil {
 		return nil, err
 	}
-	sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}
-	certifyScenario(sc)
-	return sc, nil
-}
-
-// buildWorld loads the scenario into a world for the requested algorithm
-// and returns it with the algorithm-derived round cap; see
-// serve.BuildWorld for the pooling and round-budget contract.
-func buildWorld(sc *gather.Scenario, algo string, radius int, arena *gather.Arena) (*sim.World, int, error) {
-	return serve.BuildWorld(sc, algo, radius, arena)
+	return &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}, nil
 }
 
 // runNDJSON routes the seed sweep through the sweep-service executor and
@@ -284,7 +258,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 	if err != nil {
 		return err
 	}
-	if sc.Sched, err = buildSched(sched, seed); err != nil {
+	if sc.Sched, err = serve.BuildSched(sched, seed); err != nil {
 		return err
 	}
 	n := sc.G.N()
@@ -317,7 +291,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 		fmt.Printf("scenario graph written to %s\n", dotFile)
 	}
 
-	w, cap, err := buildWorld(sc, algo, radius, nil)
+	w, cap, err := serve.BuildWorld(sc, algo, radius, nil)
 	if err != nil {
 		return err
 	}
@@ -349,39 +323,35 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 }
 
 // runBatch executes the scenario shape across consecutive seeds on the
-// parallel runner and prints a per-seed summary table. The frozen graph —
-// and the UXS certification that depends only on it — is built ONCE from
-// the base -seed and shared read-only by every job; each job draws its
-// own IDs, placement and scheduler from its row seed (schedulers are
-// per-run stateful), so rows are bit-identical at every -parallel setting
-// and no worker ever constructs a graph. Each worker additionally owns a
-// pooled gather.Arena: every job after a worker's first reuses that
-// worker's world and agents via Reset instead of allocating a fresh
-// engine, so the batch's steady-state per-job cost is IDs + placement +
-// scheduler, nothing else.
+// parallel runner and prints a per-seed summary table. The frozen graph is
+// built ONCE from the base -seed and shared read-only by every job; each
+// job draws its own IDs, placement and scheduler from its row seed
+// (schedulers are per-run stateful), so rows are bit-identical at every
+// -parallel setting and no worker ever constructs a graph. Each worker
+// additionally owns a pooled gather.Arena: every job after a worker's
+// first reuses that worker's world and agents via Reset instead of
+// allocating a fresh engine, so the batch's steady-state per-job cost is
+// IDs + placement + scheduler, nothing else.
 func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, churn float64, k, radius int, base uint64, seeds, parallel, batchW, maxRounds int, times bool) error {
 	g, err := wl.Build(graph.NewRNG(base))
 	if err != nil {
 		return err
 	}
-	shared := &gather.Scenario{G: g}
-	certifyScenario(shared)
-	cfg := shared.Cfg
 
 	// buildJobScenario derives one row's scenario exactly the same way on
 	// the scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph and certification shared.
+	// the row seed, the frozen graph shared.
 	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
 		rng := graph.NewRNG(scSeed)
 		if k < 1 {
 			return nil, fmt.Errorf("need at least one robot")
 		}
-		pos, err := placeRobots(g, placement, k, rng)
+		pos, err := serve.PlaceRobots(g, placement, k, rng)
 		if err != nil {
 			return nil, err
 		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos, Cfg: cfg}
-		if sc.Sched, err = buildSched(sched, scSeed); err != nil {
+		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}
+		if sc.Sched, err = serve.BuildSched(sched, scSeed); err != nil {
 			return nil, err
 		}
 		return sc, nil
@@ -408,7 +378,7 @@ func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, 
 				if err != nil {
 					return nil, 0, err
 				}
-				w, cap, err := buildWorld(sc, algo, radius, gather.ArenaOf(state))
+				w, cap, err := serve.BuildWorld(sc, algo, radius, gather.ArenaOf(state))
 				if err != nil {
 					return nil, 0, err
 				}

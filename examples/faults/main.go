@@ -25,7 +25,6 @@ func main() {
 	pos := []int{0, 0, 3} // group {3,9} plus a lone robot
 
 	base := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-	base.Certify()
 	cap := base.Cfg.UXSGatherBound(g.N()) + 2
 
 	run := func(title string, prep func(w *sim.World)) {

@@ -29,7 +29,6 @@ func main() {
 		IDs:       gathering.AssignIDs(k, n, rng),
 		Positions: gathering.MaxMinDispersed(g, k, rng),
 	}
-	sc.Certify()
 
 	fmt.Printf("maze: %d rooms, %d corridors, diameter %d\n", n, g.M(), g.Diameter())
 	fmt.Printf("robots %v start at rooms %v (closest pair %d corridors apart)\n\n",

@@ -28,13 +28,11 @@ func build() *gathering.Scenario {
 	g := gathering.Cycle(9)
 	rng := gathering.NewRNG(1)
 	g = g.WithPermutedPorts(rng)
-	sc := &gathering.Scenario{
+	return &gathering.Scenario{
 		G:         g,
 		IDs:       gathering.AssignIDs(2, g.N(), rng),
 		Positions: gathering.RandomDispersed(g, 2, rng),
 	}
-	sc.Certify()
-	return sc
 }
 
 // safeRun builds a world via mk and runs it with panic containment

@@ -32,7 +32,6 @@ func main() {
 			IDs:       gathering.AssignIDs(k, n, rng),
 			Positions: pos,
 		}
-		sc.Certify()
 		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
 		if err != nil {
 			log.Fatal(err)
@@ -55,7 +54,6 @@ func main() {
 	pos := gathering.MaxMinDispersed(g, k, rng)
 	ids := gathering.AssignIDs(k, n, rng)
 	sc := &gathering.Scenario{G: g, IDs: ids, Positions: pos}
-	sc.Certify()
 	fast, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
 	if err != nil {
 		log.Fatal(err)

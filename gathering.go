@@ -17,9 +17,9 @@
 //		IDs:       gathering.AssignIDs(7, g.N(), rng),
 //		Positions: gathering.MaxMinDispersed(g, 7, rng),
 //	}
-//	sc.Certify()
 //	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
 //	// res.DetectionCorrect reports gathering with detection.
+//	// Robots derive the exploration-sequence length T from n alone.
 //
 // Graphs are immutable once frozen (Builder.Freeze, or any generator or
 // workload build): one *Graph may back any number of concurrent scenarios

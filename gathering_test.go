@@ -15,7 +15,6 @@ func TestQuickstartFlow(t *testing.T) {
 		IDs:       AssignIDs(k, g.N(), rng),
 		Positions: MaxMinDispersed(g, k, rng),
 	}
-	sc.Certify()
 	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +90,6 @@ func TestFacadeRunner(t *testing.T) {
 			g = g.WithPermutedPorts(rng)
 			k := n/2 + 1
 			sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: MaxMinDispersed(g, k, rng)}
-			sc.Certify()
 			w, err := sc.NewFasterWorld()
 			return w, sc.Cfg.FasterBound(n) + 10, err
 		}}

@@ -216,7 +216,9 @@ func runE3(w io.Writer, o Options) error {
 				ids := []int{2, 3}
 				pos := place.MaxMinDispersed(g, 2, rng)
 				sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-				sc.Certify()
+				if err := checkCover(g, sc.Cfg); err != nil {
+					return nil, 0, err
+				}
 				m.n, m.maxID = g.N(), 3
 				m.bound = sc.Cfg.UXSGatherBound(g.N())
 				world, err := sc.NewUXSWorld()
@@ -229,15 +231,16 @@ func runE3(w io.Writer, o Options) error {
 	// between rows — no per-job graph construction at all.
 	const nID = 6
 	gID := graph.FromFamily(graph.FamCycle, nID, graph.NewRNG(o.Seed+3))
-	cfgID := certifiedConfig(gID)
+	if err := checkCover(gID, gather.Config{}); err != nil {
+		return err
+	}
 	for _, idPair := range [][2]int{{1, 2}, {100, 101}, {MaxIDPair(nID)[0], MaxIDPair(nID)[1]}} {
 		idPair := idPair
 		m := &e3meta{idSweep: true}
 		jobs = append(jobs, runner.Job{Meta: m,
 			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
 				sc := &gather.Scenario{G: gID, IDs: []int{idPair[0], idPair[1]},
-					Positions: place.MaxMinDispersed(gID, 2, graph.NewRNG(seed)),
-					Cfg:       cfgID}
+					Positions: place.MaxMinDispersed(gID, 2, graph.NewRNG(seed))}
 				m.n, m.maxID = nID, idPair[1]
 				m.bound = sc.Cfg.UXSGatherBound(nID)
 				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
@@ -325,7 +328,6 @@ func runE4(w io.Writer, o Options) error {
 	// collected by walking the ordered results with the same strides.
 	type e4meta struct {
 		n, k, d int
-		cfg     gather.Config // certified config, filled by Build
 	}
 	var jobs []runner.Job
 	for _, rg := range regimes {
@@ -341,9 +343,10 @@ func runE4(w io.Writer, o Options) error {
 						ids := gather.AssignIDs(k, n, rng)
 						pos := place.MaxMinDispersed(g, k, rng)
 						sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-						sc.Certify()
-						m.k, m.cfg = k, sc.Cfg
-						m.d = place.MinPairwise(g, pos)
+						if err := checkCover(g, sc.Cfg); err != nil {
+							return nil, 0, err
+						}
+						m.k, m.d = k, place.MinPairwise(g, pos)
 						if m.d > rg.maxDist {
 							return nil, 0, fmt.Errorf("E4: %s n=%d: distance %d violates Lemma 15's %d", rg.name, n, m.d, rg.maxDist)
 						}
@@ -369,7 +372,7 @@ func runE4(w io.Writer, o Options) error {
 				if !r.Res.DetectionCorrect {
 					return fmt.Errorf("E4: %s n=%d: detection failed", rg.name, n)
 				}
-				if r.Res.Rounds > stepBound(r.Meta.(*e4meta).cfg, n, rg.maxDist) {
+				if r.Res.Rounds > stepBound(n, rg.maxDist) {
 					withinBound = false
 				}
 			}
@@ -393,7 +396,7 @@ func runE4(w io.Writer, o Options) error {
 			if refDist > 5 {
 				refDist = m.d
 			}
-			bs = append(bs, float64(stepBound(m.cfg, m.n, refDist)))
+			bs = append(bs, float64(stepBound(m.n, refDist)))
 		}
 		// Theorem 16's regimes are worst-case schedule shapes: measured
 		// rounds must stay within the regime's guaranteed step bound

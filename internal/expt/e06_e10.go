@@ -2,10 +2,10 @@ package expt
 
 // E6-E10 run through the parallel runner. Head-to-head experiments (E8,
 // E10) submit one job per (instance, algorithm): both jobs of a pair
-// reference ONE shared scenario — a frozen graph plus read-only IDs,
-// positions and certified config, built once from the per-case seed before
-// submission — so the comparison stays apples-to-apples, the runs
-// parallelize, and no job constructs a graph.
+// reference ONE shared scenario — a frozen graph plus read-only IDs and
+// positions, built and checked for UXS coverage once from the per-case
+// seed before submission — so the comparison stays apples-to-apples, the
+// runs parallelize, and no job constructs a graph.
 
 import (
 	"fmt"
@@ -53,8 +53,10 @@ func init() {
 }
 
 // stepBound returns the cumulative Faster-Gathering round bound through
-// the step that handles initial pair distance d (d > 5 means the UXS tail).
-func stepBound(cfg gather.Config, n, d int) int {
+// the step that handles initial pair distance d (d > 5 means the UXS tail),
+// under the default Config every experiment instance runs with.
+func stepBound(n, d int) int {
+	var cfg gather.Config
 	bound := gather.R(n) + 1 // step 1
 	if d <= 0 {
 		return bound
@@ -77,7 +79,6 @@ func runE6(w io.Writer, o Options) error {
 	type e6meta struct {
 		d     int
 		found bool
-		cfg   gather.Config
 	}
 	var jobs []runner.Job
 	for _, d := range []int{0, 1, 2, 3, 4, 5, n - 1} {
@@ -92,8 +93,10 @@ func runE6(w io.Writer, o Options) error {
 					return nil, 0, nil
 				}
 				sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}}
-				sc.Certify()
-				m.found, m.cfg = true, sc.Cfg
+				if err := checkCover(g, sc.Cfg); err != nil {
+					return nil, 0, err
+				}
+				m.found = true
 				world, err := sc.NewFasterWorld()
 				return world, sc.Cfg.FasterBound(n) + 10, err
 			}})
@@ -112,7 +115,7 @@ func runE6(w io.Writer, o Options) error {
 		if !r.Res.DetectionCorrect {
 			return fmt.Errorf("E6: d=%d: detection failed", m.d)
 		}
-		bound := stepBound(m.cfg, n, m.d)
+		bound := stepBound(n, m.d)
 		within := r.Res.Rounds <= bound
 		allOK = allOK && within
 		tb.Add(m.d, r.Res.Rounds, bound, within)
@@ -134,6 +137,9 @@ func runE7(w io.Writer, o Options) error {
 		n = 12
 	}
 	g := graph.Cycle(n).WithPermutedPorts(rng)
+	if err := checkCover(g, gather.Config{}); err != nil {
+		return err
+	}
 	type e7meta struct {
 		k, minDist int
 	}
@@ -147,7 +153,6 @@ func runE7(w io.Writer, o Options) error {
 				ids := gather.AssignIDs(k, n, jrng)
 				pos := place.MaxMinDispersed(g, k, jrng)
 				sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-				sc.Certify() // shared frozen graph: certification-cache hit after job one
 				m.minDist = place.MinPairwise(g, pos)
 				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
 				return world, sc.Cfg.FasterBound(n) + 10, err
@@ -200,13 +205,14 @@ func runE8(w io.Writer, o Options) error {
 		rng := graph.NewRNG(caseSeed)
 		g := graph.Cycle(n).WithPermutedPorts(rng)
 		ids := gather.AssignIDs(c.k, n, rng)
-		sc := &gather.Scenario{G: g, IDs: ids, Positions: c.pos(g, rng)}
-		sc.Certify()
-		return sc
+		return &gather.Scenario{G: g, IDs: ids, Positions: c.pos(g, rng)}
 	}
 	var jobs []runner.Job
 	for ci, c := range cases {
 		sc := scenario(c, runner.JobSeed(o.Seed+8, ci))
+		if err := checkCover(sc.G, sc.Cfg); err != nil {
+			return err
+		}
 		jobs = append(jobs,
 			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
 				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
@@ -310,14 +316,15 @@ func runE10(w io.Writer, o Options) error {
 		} else {
 			pos = place.MaxMinDispersed(g, k, rng)
 		}
-		sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-		sc.Certify()
-		return sc
+		return &gather.Scenario{G: g, IDs: ids, Positions: pos}
 	}
 	var jobs []runner.Job
 	for ci, c := range cases {
 		clustered := c.name == "clustered"
 		sc := scenario(c.k, clustered, runner.JobSeed(o.Seed+10, ci))
+		if err := checkCover(sc.G, sc.Cfg); err != nil {
+			return err
+		}
 		jobs = append(jobs,
 			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
 				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))

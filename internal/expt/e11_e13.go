@@ -52,9 +52,7 @@ func runE11(w io.Writer, o Options) error {
 		if !ok {
 			return nil, false
 		}
-		sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}}
-		sc.Certify()
-		return sc, true
+		return &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}}, true
 	}
 	dists := []int{1, 2, 3, 4}
 	var jobs []runner.Job
@@ -68,8 +66,11 @@ func runE11(w io.Writer, o Options) error {
 				runner.Job{Meta: mO, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
 			continue
 		}
+		if err := checkCover(sc.G, sc.Cfg); err != nil {
+			return err
+		}
 		scO := *sc // shallow copy: same frozen graph, oracle config
-		scO.Cfg = gather.Config{KnownDistance: d, UXSLen: sc.Cfg.UXSLen}
+		scO.Cfg = gather.Config{KnownDistance: d}
 		jobs = append(jobs,
 			runner.Job{Meta: mS, Build: func(uint64) (*sim.World, int, error) {
 				world, err := sc.NewFasterWorld()
@@ -195,8 +196,9 @@ func runE13(w io.Writer, o Options) error {
 				runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
 			continue
 		}
-		scF := *sc // shallow copy for the certified Faster arm
-		scF.Certify()
+		if err := checkCover(sc.G, sc.Cfg); err != nil {
+			return err
+		}
 		jobs = append(jobs,
 			runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {
 				capRounds := 0
@@ -207,8 +209,8 @@ func runE13(w io.Writer, o Options) error {
 				return world, capRounds + 10, err
 			}},
 			runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) {
-				world, err := scF.NewFasterWorld()
-				return world, scF.Cfg.FasterBound(scF.G.N()) + 10, err
+				world, err := sc.NewFasterWorld()
+				return world, sc.Cfg.FasterBound(sc.G.N()) + 10, err
 			}})
 	}
 	results, err := sweep(o, o.Seed+13, jobs)

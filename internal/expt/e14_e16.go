@@ -65,15 +65,16 @@ func runE14(w io.Writer, o Options) error {
 		} else {
 			pos = place.MaxMinDispersed(g, k, rng)
 		}
-		sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-		sc.Certify()
-		return sc
+		return &gather.Scenario{G: g, IDs: ids, Positions: pos}
 	}
 	var jobs []runner.Job
 	for ci, c := range cases {
 		// One shared scenario per case: both arms reference the same frozen
 		// graph and placement, and only build worlds inside the jobs.
 		sc := scenario(c.k, c.clus, runner.JobSeed(o.Seed+14, ci))
+		if err := checkCover(sc.G, sc.Cfg); err != nil {
+			return err
+		}
 		jobs = append(jobs,
 			runner.Job{Build: func(uint64) (*sim.World, int, error) {
 				world, err := sc.NewFasterWorld()
@@ -132,7 +133,9 @@ func runE15(w io.Writer, o Options) error {
 	// and scenario; only the worlds and crash schedules are per job.
 	g := graph.Cycle(n).WithPermutedPorts(graph.NewRNG(o.Seed + 15))
 	sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-	sc.Certify()
+	if err := checkCover(g, sc.Cfg); err != nil {
+		return err
+	}
 	var jobs []runner.Job
 	for _, c := range cases {
 		c := c
@@ -185,7 +188,9 @@ func runE16(w io.Writer, o Options) error {
 	// One shared frozen instance for every delay arm.
 	g := graph.Cycle(n).WithPermutedPorts(graph.NewRNG(o.Seed + 16))
 	sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-	sc.Certify()
+	if err := checkCover(g, sc.Cfg); err != nil {
+		return err
+	}
 	T := sc.Cfg.UXSLength(n)
 	type e16meta struct {
 		tau          int

@@ -137,9 +137,7 @@ func runE18(w io.Writer, o Options) error {
 		if !ok {
 			return nil, false
 		}
-		sc := &gather.Scenario{G: g, IDs: []int{6, 11}, Positions: []int{u, v}}
-		sc.Certify()
-		return sc, true
+		return &gather.Scenario{G: g, IDs: []int{6, 11}, Positions: []int{u, v}}, true
 	}
 	var jobs []runner.Job
 	ci := 0
@@ -153,6 +151,9 @@ func runE18(w io.Writer, o Options) error {
 					runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
 					runner.Job{Meta: mM, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
 				continue
+			}
+			if err := checkCover(sc.G, sc.Cfg); err != nil {
+				return err
 			}
 			jobs = append(jobs,
 				runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {

@@ -52,8 +52,9 @@ var e19Algos = []struct {
 		func(sc *gather.Scenario) int { return sc.Cfg.FasterBound(sc.G.N()) + 10 }},
 }
 
-// e19Instance builds one clustered (hence undispersed) k-robot instance.
-func e19Instance(fam graph.Family, n, k int, caseSeed uint64) *gather.Scenario {
+// e19Instance builds one clustered (hence undispersed) k-robot instance
+// and checks its UXS coverage.
+func e19Instance(fam graph.Family, n, k int, caseSeed uint64) (*gather.Scenario, error) {
 	rng := graph.NewRNG(caseSeed)
 	g := graph.FromFamily(fam, n, rng)
 	sc := &gather.Scenario{
@@ -61,8 +62,7 @@ func e19Instance(fam graph.Family, n, k int, caseSeed uint64) *gather.Scenario {
 		IDs:       gather.AssignIDs(k, g.N(), rng),
 		Positions: place.Clustered(g, k, k-1, rng),
 	}
-	sc.Certify()
-	return sc
+	return sc, checkCover(g, sc.Cfg)
 }
 
 // E19: every algorithm under every activation model. Outcomes per run:
@@ -97,7 +97,11 @@ func runE19(w io.Writer, o Options) error {
 	for fi, fam := range fams {
 		for s := 0; s < seeds; s++ {
 			caseSeed := runner.JobSeed(o.Seed+19, fi*seeds+s)
-			instances = append(instances, e19case{sc: e19Instance(fam, n, k, caseSeed), seed: caseSeed})
+			sc, err := e19Instance(fam, n, k, caseSeed)
+			if err != nil {
+				return err
+			}
+			instances = append(instances, e19case{sc: sc, seed: caseSeed})
 		}
 	}
 	var cells []*cell
@@ -214,7 +218,9 @@ func runE20(w io.Writer, o Options) error {
 		g := graph.FromFamily(fam, n, rng)
 		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(2, g.N(), rng),
 			Positions: place.RandomDispersed(g, 2, rng)}
-		inst.Certify()
+		if err := checkCover(g, inst.Cfg); err != nil {
+			return err
+		}
 		for _, pt := range points {
 			pt := pt
 			m := &jobMeta{pt: pt, inst: ii}

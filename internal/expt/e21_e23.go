@@ -75,7 +75,11 @@ func runE21(w io.Writer, o Options) error {
 	for fi, fam := range fams {
 		for s := 0; s < seeds; s++ {
 			caseSeed := runner.JobSeed(o.Seed+21, fi*seeds+s)
-			instances = append(instances, e21case{sc: e19Instance(fam, n, k, caseSeed), seed: caseSeed})
+			sc, err := e19Instance(fam, n, k, caseSeed)
+			if err != nil {
+				return err
+			}
+			instances = append(instances, e21case{sc: sc, seed: caseSeed})
 		}
 	}
 	var cells []*cell
@@ -170,9 +174,9 @@ func runE22(w io.Writer, o Options) error {
 
 	rng := graph.NewRNG(o.Seed + 22)
 	g := graph.FromFamily(graph.FamCycle, n, rng)
-	shared := &gather.Scenario{G: g}
-	shared.Certify()
-	cfg := shared.Cfg
+	if err := checkCover(g, gather.Config{}); err != nil {
+		return err
+	}
 
 	type arm struct {
 		rate           float64
@@ -197,7 +201,7 @@ func runE22(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), crng), Positions: pos, Cfg: cfg}
+		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), crng), Positions: pos}
 		for _, a := range arms {
 			a := a
 			m := &jobMeta{arm: a, inst: ii}
@@ -287,14 +291,15 @@ func runE23(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	shared := &gather.Scenario{G: g}
-	shared.Certify()
+	if err := checkCover(g, gather.Config{}); err != nil {
+		return err
+	}
 	fs, err := fault.Parse("crash:1")
 	if err != nil {
 		return err
 	}
 	cfg := hunt.Config{
-		G: g, Cfg: shared.Cfg, Algo: "faster", Radius: 2, K: 4,
+		G: g, Algo: "faster", Radius: 2, K: 4,
 		Placement: "random", Sched: "full", Faults: fs,
 		Population: pop, Generations: gens, Seed: o.Seed + 23,
 		Parallelism: o.Parallelism, BatchWidth: o.BatchWidth,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/runner"
+	"repro/internal/uxs"
 )
 
 // Options tunes an experiment run.
@@ -69,14 +70,15 @@ func sweepRunner(o Options) *runner.Runner {
 	return runner.New(o.Parallelism).WithWorkerState(func(int) any { return gather.NewSweepState() })
 }
 
-// certifiedConfig returns the gather.Config whose UXS length is pinned
-// (certified) for the given frozen graph, computed once so that every
-// scenario sharing the graph also shares the certification work instead
-// of redoing it per job.
-func certifiedConfig(g *graph.Graph) gather.Config {
-	sc := gather.Scenario{G: g}
-	sc.Certify()
-	return sc.Cfg
+// checkCover checks that the exploration sequence robots derive from cfg
+// and n covers g from every start node. T comes from n alone, as in the
+// paper, so coverage is a property checked per instance, never an input:
+// an uncovered instance stops its experiment with a *uxs.CoverError naming
+// the graph, the start node and T. Each distinct graph is checked once,
+// outside the jobs that share it.
+func checkCover(g *graph.Graph, cfg gather.Config) error {
+	n := g.N()
+	return uxs.WithLength(n, cfg.UXSLength(n)).Check(g)
 }
 
 // Experiment is one reproducible table/figure.

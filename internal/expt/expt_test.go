@@ -2,8 +2,13 @@ package expt
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/gather"
+	"repro/internal/graph"
+	"repro/internal/uxs"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -118,5 +123,31 @@ func TestQuickExperimentsRun(t *testing.T) {
 				t.Errorf("%s produced a FAIL verdict:\n%s", e.ID, out)
 			}
 		})
+	}
+}
+
+// A sequence too short to cover its instance stops the experiment with a
+// *uxs.CoverError naming the graph, the start node and T; T is never
+// lengthened to make the check pass.
+func TestCheckCoverTypedError(t *testing.T) {
+	g, err := graph.BuildWorkload("path:8", graph.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = checkCover(g, gather.Config{UXSLen: 1})
+	var ce *uxs.CoverError
+	if !errors.As(err, &ce) {
+		t.Fatalf("checkCover = %v, want a *uxs.CoverError", err)
+	}
+	if ce.Graph != g.String() || ce.Start != 0 || ce.T != 1 {
+		t.Errorf("CoverError = %+v, want graph %s, start node 0, T 1", *ce, g)
+	}
+	for _, want := range []string{g.String(), "node 0", "T=1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if err := checkCover(g, gather.Config{}); err != nil {
+		t.Errorf("T from n: %v", err)
 	}
 }

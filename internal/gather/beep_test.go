@@ -12,7 +12,6 @@ func TestBeepGatherTwoRobots(t *testing.T) {
 	for _, fam := range []graph.Family{graph.FamPath, graph.FamCycle, graph.FamGrid, graph.FamRandom} {
 		g := graph.FromFamily(fam, 7, rng)
 		sc := &Scenario{G: g, IDs: []int{5, 12}, Positions: []int{0, g.N() - 1}}
-		sc.Certify()
 		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
 		if err != nil {
 			t.Fatal(err)
@@ -26,7 +25,6 @@ func TestBeepGatherTwoRobots(t *testing.T) {
 func TestBeepGatherCoLocatedStart(t *testing.T) {
 	g := graph.Cycle(5)
 	sc := &Scenario{G: g, IDs: []int{3, 7}, Positions: []int{2, 2}}
-	sc.Certify()
 	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(5) + 2)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +41,6 @@ func TestBeepGatherSingleRobot(t *testing.T) {
 	rng := graph.NewRNG(71)
 	g := graph.FromFamily(graph.FamTree, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{9}, Positions: []int{3}}
-	sc.Certify()
 	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +56,6 @@ func TestBeepGatherEqualLengthIDs(t *testing.T) {
 	rng := graph.NewRNG(81)
 	g := graph.FromFamily(graph.FamCycle, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{12, 13}, Positions: []int{0, 3}}
-	sc.Certify()
 	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +69,6 @@ func TestBeepGatherWithinBound(t *testing.T) {
 	rng := graph.NewRNG(91)
 	g := graph.FromFamily(graph.FamRandom, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{2, 3}, Positions: []int{0, 4}}
-	sc.Certify()
 	bound := sc.Cfg.UXSGatherBound(6)
 	res, err := sc.RunBeep(bound + 2)
 	if err != nil {

@@ -11,8 +11,9 @@ import (
 type Config struct {
 	// UXSMode selects scaled (default) or paper-faithful sequence lengths.
 	UXSMode uxs.Mode
-	// UXSLen overrides the UXS length when positive; the harness sets it
-	// to a certified length (see uxs.Certify). Zero means Length(UXSMode, n).
+	// UXSLen overrides the UXS length when positive, so tests can run
+	// short sequences. Zero, the value every run path uses, means T =
+	// uxs.Length(UXSMode, n): the paper's T, computed from n alone.
 	UXSLen int
 	// KnownMaxDegree, when positive, is the paper's Remark 14 ablation:
 	// robots know Δ and size hop-meeting cycles as Σ 2Δ^j instead of

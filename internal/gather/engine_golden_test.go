@@ -47,7 +47,6 @@ func goldenInstances(algo string) []*Scenario {
 				IDs:       AssignIDs(k, g.N(), rng),
 				Positions: place.Clustered(g, k, 2, rng),
 			}
-			sc.Certify()
 			out = append(out, sc)
 		}
 	}
@@ -96,7 +95,6 @@ func TestSchedulerRunsDeterministic(t *testing.T) {
 		rng := graph.NewRNG(7)
 		g := graph.FromFamily(graph.FamCycle, 8, rng)
 		sc := &Scenario{G: g, IDs: AssignIDs(2, g.N(), rng), Positions: place.RandomDispersed(g, 2, rng)}
-		sc.Certify()
 		sched, err := sim.ParseScheduler(spec, 123)
 		if err != nil {
 			t.Fatal(err)

@@ -47,8 +47,8 @@ func TestFaithfulCoverageTinyN(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			g := graph.MustRandomConnected(n, n-1+trial%2, rng)
 			g = g.WithPermutedPorts(rng)
-			if !u.Covers(g) {
-				t.Errorf("n=%d trial %d: faithful sequence does not cover", n, trial)
+			if err := u.Check(g); err != nil {
+				t.Errorf("n=%d trial %d: faithful sequence: %v", n, trial, err)
 			}
 		}
 	}

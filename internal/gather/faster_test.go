@@ -6,10 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// runFaster runs the full algorithm with a certified UXS and a generous cap.
+// runFaster runs the full algorithm with a generous cap.
 func runFaster(t *testing.T, sc *Scenario) (res resWrap) {
 	t.Helper()
-	sc.Certify()
 	r, err := sc.RunFaster(sc.Cfg.FasterBound(sc.G.N()) + 10)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ func TestAllAlgorithmsUnderInvariants(t *testing.T) {
 		ids := AssignIDs(k, n, rng)
 		pos := place.MaxMinDispersed(tc.g, k, rng)
 		sc := &Scenario{G: tc.g, IDs: ids, Positions: pos}
-		sc.Certify()
 
 		runs := []struct {
 			algo string
@@ -81,7 +80,6 @@ func TestExoticFamiliesGatherWithDetection(t *testing.T) {
 			t.Fatalf("%s: no distance-2 pair", tc.name)
 		}
 		sc := &Scenario{G: tc.g, IDs: []int{4, 9}, Positions: []int{u, v}}
-		sc.Certify()
 		res, err := sc.RunFaster(sc.Cfg.FasterBound(tc.g.N()) + 10)
 		if err != nil {
 			t.Fatal(err)

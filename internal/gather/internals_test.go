@@ -218,7 +218,6 @@ func TestDeterministicReplay(t *testing.T) {
 			IDs:       AssignIDs(5, g.N(), rng),
 			Positions: []int{0, 0, 3, 5, 7},
 		}
-		sc.Certify()
 		res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
 		if err != nil {
 			t.Fatal(err)

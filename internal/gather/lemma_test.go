@@ -19,7 +19,6 @@ func TestLemma1WaiterMetIffLongerID(t *testing.T) {
 	// bits after one phase and waits during [2T, 4T); robot 8 is still
 	// working, so they must meet no later than robot 1's wait window.
 	sc := &Scenario{G: g, IDs: []int{1, 8}, Positions: []int{0, 3}}
-	sc.Certify()
 	T := sc.Cfg.UXSLength(g.N())
 	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
 	if err != nil {
@@ -60,7 +59,6 @@ func TestLemma2NoPrematureTermination(t *testing.T) {
 		n := g.N()
 		k := 2 + trial%3
 		sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: place.Random(g, k, rng)}
-		sc.Certify()
 		w, err := sc.NewUXSWorld()
 		if err != nil {
 			t.Fatal(err)

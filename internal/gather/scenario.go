@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/uxs"
 )
 
 // Scenario is a complete gathering instance: graph, robot IDs, starting
@@ -65,13 +64,6 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Certify pins the scenario's UXS length to one verified to cover its
-// graph from every start node (see uxs.Certify), so the Theorem 6 and
-// Step 7 guarantees hold unconditionally in scaled mode.
-func (s *Scenario) Certify() {
-	s.Cfg.UXSLen = uxs.Certify(s.G, s.Cfg.UXSMode).Len()
 }
 
 // Dispersed reports whether every node holds at most one robot.

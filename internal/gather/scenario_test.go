@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/uxs"
 )
 
 func TestScenarioValidate(t *testing.T) {
@@ -53,13 +54,20 @@ func TestScenarioMinPairDistance(t *testing.T) {
 	}
 }
 
-func TestScenarioCertifySetsLength(t *testing.T) {
+// A scenario's T comes from n and the mode alone, as the paper's robots
+// compute it, and the sequence of that length covers the graph.
+func TestScenarioUXSLengthFromN(t *testing.T) {
 	rng := graph.NewRNG(3)
 	g := graph.FromFamily(graph.FamLollipop, 10, rng)
-	sc := &Scenario{G: g, IDs: []int{1}, Positions: []int{0}}
-	sc.Certify()
-	if sc.Cfg.UXSLen <= 0 {
-		t.Fatal("certify did not pin a length")
+	for _, m := range []uxs.Mode{uxs.Scaled, uxs.Faithful} {
+		sc := &Scenario{G: g, IDs: []int{1}, Positions: []int{0}, Cfg: Config{UXSMode: m}}
+		T := sc.Cfg.UXSLength(g.N())
+		if T != uxs.Length(m, g.N()) {
+			t.Errorf("%s: T = %d, want uxs.Length = %d", m, T, uxs.Length(m, g.N()))
+		}
+		if err := uxs.WithLength(g.N(), T).Check(g); err != nil {
+			t.Errorf("%s: %v", m, err)
+		}
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"repro/internal/graph"
 )
 
-// uxsScenario builds a scenario with a certified UXS length.
+// uxsScenario builds a scenario whose robots derive T from n.
 func uxsScenario(g *graph.Graph, ids, pos []int) *Scenario {
-	sc := &Scenario{G: g, IDs: ids, Positions: pos}
-	sc.Certify()
-	return sc
+	return &Scenario{G: g, IDs: ids, Positions: pos}
 }
 
 func TestUXSGatherTwoRobots(t *testing.T) {

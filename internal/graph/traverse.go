@@ -3,12 +3,18 @@ package graph
 // BFSDistances returns hop distances from src to every node (-1 when
 // unreachable, which Validate rules out for library graphs).
 func (g *Graph) BFSDistances(src int) []int {
-	dist := make([]int, g.N())
+	return g.bfs(src, make([]int, g.N()), make([]int, 0, g.N()))
+}
+
+// bfs fills dist with hop distances from src and returns it. queue must
+// have capacity n; every node enters it once, so it never grows, and
+// callers running many passes reuse both buffers instead of allocating.
+func (g *Graph) bfs(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	queue = append(queue[:0], src)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -50,8 +56,9 @@ func (g *Graph) AllPairsDistances() [][]int {
 // Diameter returns the maximum eccentricity, 0 for n <= 1.
 func (g *Graph) Diameter() int {
 	diam := 0
+	dist, queue := make([]int, g.N()), make([]int, 0, g.N())
 	for u := 0; u < g.N(); u++ {
-		for _, d := range g.BFSDistances(u) {
+		for _, d := range g.bfs(u, dist, queue) {
 			if d > diam {
 				diam = d
 			}

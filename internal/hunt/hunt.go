@@ -32,7 +32,7 @@ import (
 // small defaults (see Run); the instance fields are required.
 type Config struct {
 	G         *graph.Graph  // frozen instance under attack (shared, read-only)
-	Cfg       gather.Config // its (certified) schedule config
+	Cfg       gather.Config // its schedule config; zero derives T from n
 	Algo      string        // algorithm under attack
 	Radius    int           // hopmeet radius
 	K         int           // robots
@@ -279,7 +279,7 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 
 // candidateScenario derives one candidate's scenario from its seed
 // exactly like a sweep row: IDs, placement and scheduler all from the
-// seed's stream, the frozen graph and certification shared.
+// seed's stream, the frozen graph and config shared.
 func candidateScenario(cfg Config, scSeed uint64) (*gather.Scenario, error) {
 	rng := graph.NewRNG(scSeed)
 	pos, err := serve.PlaceRobots(cfg.G, cfg.Placement, cfg.K, rng)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/sim/fault"
 )
@@ -21,14 +20,12 @@ func testConfig(t *testing.T) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := gather.Scenario{G: inst}
-	sc.Certify()
 	fs, err := fault.Parse("crash:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Config{
-		G: inst, Cfg: sc.Cfg, Algo: "faster", Radius: 2, K: 4,
+		G: inst, Algo: "faster", Radius: 2, K: 4,
 		Faults: fs, Seed: 42, Population: 6, Generations: 2, Parallelism: 2,
 	}
 }

@@ -28,7 +28,6 @@ func dualJobs(t *testing.T, count int, algo, sched string) []Job {
 		IDs:       gather.AssignIDs(k, g.N(), rng),
 		Positions: place.MaxMinDispersed(g, k, rng),
 	}
-	sc.Certify()
 	cap, err := sc.AlgoCap(algo, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,6 @@ func TestRunBatchedMixedGraphs(t *testing.T) {
 			IDs:       gather.AssignIDs(k, n, rng),
 			Positions: place.MaxMinDispersed(g, k, rng),
 		}
-		sc.Certify()
 		cap, err := sc.AlgoCap("dessmark", 0)
 		if err != nil {
 			t.Fatal(err)

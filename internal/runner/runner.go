@@ -10,9 +10,9 @@
 // before submission) and must not share mutable state. Frozen
 // graph.Graphs are deeply immutable and may be shared freely: the
 // preferred sweep shape builds the instance (graph, IDs, positions,
-// certified config) once before submission and references it from every
-// job, constructing only the per-run world — and, via
-// Scenario.WithScheduler, a per-run scheduler — inside Build.
+// config) once before submission and references it from every job,
+// constructing only the per-run world — and, via Scenario.WithScheduler,
+// a per-run scheduler — inside Build.
 //
 // For zero-rebuild sweeps, WithWorkerState gives every worker a
 // long-lived value (typically a gather.Arena) that Job.BuildIn receives

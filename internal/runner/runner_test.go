@@ -31,7 +31,6 @@ func gatherJobs(count int) []Job {
 					IDs:       gather.AssignIDs(k, n, rng),
 					Positions: place.MaxMinDispersed(g, k, rng),
 				}
-				sc.Certify()
 				w, err := sc.NewFasterWorld()
 				return w, sc.Cfg.FasterBound(n) + 10, err
 			},
@@ -157,7 +156,6 @@ func TestSharedFrozenGraphAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(5, g.N(), rng)}
-	sc.Certify()
 
 	ref, _ := New(1).Run(11, sharedGraphJobs(sc, 24))
 	if err := FirstErr(ref); err != nil {
@@ -196,7 +194,6 @@ func pooledGatherJobs(count int) []Job {
 					IDs:       gather.AssignIDs(k, n, rng),
 					Positions: place.MaxMinDispersed(g, k, rng),
 				}
-				sc.Certify()
 				w, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
 				return w, sc.Cfg.FasterBound(n) + 10, err
 			},
@@ -284,42 +281,6 @@ func TestBuildInWithoutWorkerState(t *testing.T) {
 		if !r.Res.DetectionCorrect {
 			t.Errorf("job %d without worker state failed: %+v", i, r.Res)
 		}
-	}
-}
-
-// TestCertifyCacheUnderConcurrentJobs is the runner-level race proof for
-// the UXS certification cache: many concurrent jobs call Certify (via
-// Scenario.Certify) on ONE shared frozen graph while others certify
-// job-private graphs. Meaningful under -race, which CI runs.
-func TestCertifyCacheUnderConcurrentJobs(t *testing.T) {
-	rng := graph.NewRNG(13)
-	g, err := graph.BuildWorkload("grid:4x4", rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		shared := i%2 == 0
-		jobs[i] = Job{Build: func(seed uint64) (*sim.World, int, error) {
-			jrng := graph.NewRNG(seed)
-			gg := g
-			if !shared {
-				gg = graph.Cycle(8).WithPermutedPorts(jrng)
-			}
-			sc := &gather.Scenario{G: gg, IDs: gather.AssignIDs(3, gg.N(), jrng),
-				Positions: place.Clustered(gg, 3, 1, jrng)}
-			sc.Certify() // shared jobs hammer one cache key concurrently
-			w, err := sc.NewUndispersedWorld()
-			return w, gather.R(gg.N()) + 2, err
-		}}
-	}
-	ref, _ := New(1).Run(17, jobs)
-	if err := FirstErr(ref); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := New(8).Run(17, jobs)
-	if !reflect.DeepEqual(stripTiming(ref), stripTiming(got)) {
-		t.Error("certify-cache batch differs between 1 and 8 workers")
 	}
 }
 

@@ -7,12 +7,10 @@ import (
 
 // The content-addressed result cache: whole NDJSON response bodies keyed
 // on the FNV-64 content address of the canonical request
-// (SweepRequest.Key). It generalizes the pointer-keyed uxs.Certify cache
-// from certification to whole job results, on the same soundness
-// argument: the cached value is a pure function of the key's preimage —
-// response bytes are a pure function of the canonical request — so
-// replaying a cached body is observably identical to re-executing, and
-// eviction only ever costs recomputation.
+// (SweepRequest.Key). It is sound because the cached value is a pure
+// function of the key's preimage — response bytes are a pure function of
+// the canonical request — so replaying a cached body is observably
+// identical to re-executing, and eviction only ever costs recomputation.
 //
 // The cache is a bounded LRU with single-flight deduplication:
 // concurrent requests for the same key execute once, followers block and

@@ -72,9 +72,9 @@ type aggregateRow struct {
 // ExecuteNDJSON runs the request's seed sweep and returns the complete
 // NDJSON response body: one header row, one row per seed in seed order,
 // one aggregate row. The sweep shape is exactly the gathersim -seeds
-// batch: ONE frozen graph (and its UXS certification) built from the base
-// seed and shared read-only by every job; each job draws its own IDs,
-// placement and scheduler from its row seed on a pooled per-worker arena.
+// batch: ONE frozen graph built from the base seed and shared read-only
+// by every job; each job draws its own IDs, placement and scheduler from
+// its row seed on a pooled per-worker arena.
 // gathersim -ndjson calls this same function, which is what makes service
 // and CLI output byte-identical by construction — and the conformance
 // suite pins it by diff, not by trust.
@@ -90,20 +90,17 @@ func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]by
 	if err != nil {
 		return nil, err
 	}
-	shared := &gather.Scenario{G: g}
-	CertifyScenario(shared)
-	sharedCfg := shared.Cfg
 
 	// buildJobScenario derives one row's scenario identically on the
 	// scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph and certification shared.
+	// the row seed, the frozen graph shared.
 	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
 		rng := graph.NewRNG(scSeed)
 		pos, err := PlaceRobots(g, req.Placement, req.K, rng)
 		if err != nil {
 			return nil, err
 		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos, Cfg: sharedCfg}
+		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos}
 		if sc.Sched, err = BuildSched(req.Sched, scSeed); err != nil {
 			return nil, err
 		}

@@ -21,24 +21,20 @@ import (
 	"repro/internal/graph"
 	"repro/internal/place"
 	"repro/internal/sim"
+	"repro/internal/uxs"
 )
 
-// CertifyMaxNodes bounds the instance sizes that get UXS certification (a
-// coverage walk of the whole sequence) and a reported diameter (all-pairs
-// BFS): both are superlinear and infeasible at the million-node scale
-// workloads. Larger instances run with the uncertified Θ(n³) sequence
-// length and report no diameter. Every CI diff-gate workload is at or
-// below the bound, so their output is byte-identical. Shared by gathersim
-// and the sweep service, so the two paths always agree on which instances
-// are certified.
+// CertifyMaxNodes bounds the instance sizes that report a diameter: the
+// all-pairs BFS is superlinear and infeasible at the million-node scale
+// workloads, so larger instances report none. Shared by gathersim and the
+// sweep service, so the two paths always agree on it.
 const CertifyMaxNodes = 1 << 14
 
-// CertifyScenario runs the scenario's UXS certification when the
-// instance is small enough for the coverage walk to be feasible.
+// CertifyScenario pins the scenario's UXS length to T = uxs.Length(mode,
+// n), the length every run derives from n alone. It walks nothing; the
+// run paths leave Cfg.UXSLen at zero, which means the same T.
 func CertifyScenario(sc *gather.Scenario) {
-	if sc.G.N() <= CertifyMaxNodes {
-		sc.Certify()
-	}
+	sc.Cfg.UXSLen = uxs.Length(sc.Cfg.UXSMode, sc.G.N())
 }
 
 // Diameter returns the graph's diameter and true, or 0 and false when the

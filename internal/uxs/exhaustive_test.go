@@ -11,7 +11,7 @@ import (
 // on 3 and 4 nodes, under both canonical and adversarially permuted port
 // labelings, and verifies the scaled-length sequence covers each from
 // every start node. For these sizes the enumeration is exact, so the
-// substitution's contract (DESIGN.md §3.1) is verified exhaustively rather
+// substitution's contract (DESIGN.md §1) is verified exhaustively rather
 // than probabilistically.
 
 // allConnectedGraphs enumerates every labeled simple connected graph on n
@@ -47,8 +47,8 @@ func TestExhaustiveCoverageN3(t *testing.T) {
 	}
 	u := New(3, Scaled)
 	for gi, g := range graphs {
-		if !u.Covers(g) {
-			t.Errorf("graph %d: canonical labeling not covered", gi)
+		if err := u.Check(g); err != nil {
+			t.Errorf("graph %d: canonical labeling: %v", gi, err)
 		}
 	}
 }
@@ -61,8 +61,8 @@ func TestExhaustiveCoverageN4(t *testing.T) {
 	}
 	u := New(4, Scaled)
 	for gi, g := range graphs {
-		if !u.Covers(g) {
-			t.Errorf("graph %d: canonical labeling not covered", gi)
+		if err := u.Check(g); err != nil {
+			t.Errorf("graph %d: canonical labeling: %v", gi, err)
 		}
 	}
 }
@@ -78,8 +78,8 @@ func TestExhaustiveCoverageUnderPortPermutations(t *testing.T) {
 			if err := h.Validate(); err != nil {
 				t.Fatalf("graph %d trial %d: %v", gi, trial, err)
 			}
-			if !u.Covers(h) {
-				t.Errorf("graph %d trial %d: permuted labeling not covered", gi, trial)
+			if err := u.Check(h); err != nil {
+				t.Errorf("graph %d trial %d: permuted labeling: %v", gi, trial, err)
 			}
 		}
 	}
@@ -97,8 +97,8 @@ func TestExhaustiveCoverageN5Trees(t *testing.T) {
 		}
 		count++
 		g = g.WithPermutedPorts(rng)
-		if !u.Covers(g) {
-			t.Errorf("tree %d not covered", count)
+		if err := u.Check(g); err != nil {
+			t.Errorf("tree %d: %v", count, err)
 		}
 	}
 	if count != 125 {

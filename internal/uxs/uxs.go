@@ -6,16 +6,20 @@
 // as a black box. Reimplementing that construction (which rests on
 // Reingold-style derandomization) is out of scope and irrelevant to the
 // algorithms being reproduced, so this package substitutes a deterministic
-// pseudorandom offset sequence seeded from n only (see DESIGN.md §3.1):
+// pseudorandom offset sequence seeded from n only (see DESIGN.md §1):
 //
 //   - same interface: a sequence s_1, s_2, ..., s_T computable by every
 //     robot from n; a robot entering a node through port p exits through
 //     port (p + s_i) mod δ;
 //   - same contract: a walk of length T visits all nodes. Random offset
 //     sequences of length Θ(n³) satisfy this with overwhelming margin
-//     (expected cover time of the induced uniform walk is ≤ 2m(n−1) ≤ n³),
-//     and the harness verifies coverage per instance before trusting a run,
-//     making the guarantee unconditional for every experiment;
+//     (expected cover time of the induced uniform walk is ≤ 2m(n−1) ≤ n³).
+//     T is Length(mode, n) on every run path and never depends on the
+//     graph, so coverage is a checked property, not an input: Check
+//     returns a *CoverError for an uncovered instance, the experiments
+//     check every instance whose algorithms walk the sequence, and the
+//     tests check the workload catalog and every connected graph on up
+//     to 4 nodes;
 //   - both the paper-faithful length Θ(n⁵ log n) and the scaled default
 //     Θ(n³) are available via Mode.
 //
@@ -28,7 +32,7 @@ type Mode int
 
 const (
 	// Scaled uses length 8·n³, matching the expected cover time of the
-	// induced walk with an 8x margin. Experiments verify coverage per
+	// induced walk with an 8x margin. Experiments check coverage per
 	// instance. This is the default for scaling sweeps.
 	Scaled Mode = iota
 	// Faithful uses the paper's T = Θ(n⁵ log n) length. Only feasible for
@@ -102,9 +106,8 @@ type UXS struct {
 // Every robot that knows n computes the identical sequence.
 func New(n int, m Mode) *UXS { return WithLength(n, Length(m, n)) }
 
-// WithLength returns a sequence of an explicit length. The harness uses it
-// to bump lengths when per-instance verification demands, keeping a single
-// shared T for all robots of a run.
+// WithLength returns a sequence of an explicit length: robots build theirs
+// from their run's shared Config, and tests use it for short sequences.
 func WithLength(n, length int) *UXS {
 	if n < 1 || length < 1 {
 		panic("uxs: need n >= 1 and length >= 1")

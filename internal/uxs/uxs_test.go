@@ -59,9 +59,8 @@ func TestCoverageOnStandardFamilies(t *testing.T) {
 	for _, fam := range graph.AllFamilies() {
 		for _, n := range []int{4, 8, 16} {
 			g := graph.FromFamily(fam, n, rng)
-			u := New(g.N(), Scaled)
-			if !u.Covers(g) {
-				t.Errorf("%s n=%d: scaled sequence does not cover", fam, n)
+			if err := New(g.N(), Scaled).Check(g); err != nil {
+				t.Errorf("%s n=%d: %v", fam, n, err)
 			}
 		}
 	}
@@ -87,13 +86,29 @@ func TestCoverageSingleNode(t *testing.T) {
 	}
 }
 
-func TestCertifyAlwaysCovers(t *testing.T) {
-	rng := graph.NewRNG(31)
-	for _, n := range []int{5, 12, 24} {
-		g := graph.FromFamily(graph.FamLollipop, n, rng) // worst cover-time family
-		u := Certify(g, Scaled)
-		if !u.Covers(g) {
-			t.Fatalf("certified sequence does not cover n=%d", n)
+// TestScaledCoversCatalog is the coverage property the runs rely on: the
+// scaled sequence, whose length comes from n alone, covers each graph from
+// every start node, across the workload catalog's shapes (n from 16 to
+// 384) at seeds 1-10. Shapes whose walks take seconds per ten seeds
+// (lollipop:128, path:256, rmat:8,4) are left out.
+func TestScaledCoversCatalog(t *testing.T) {
+	specs := []string{
+		"path:16", "bipartite:8x8", "complete:32", "barbell:16", "barbell:8,16",
+		"lollipop:32", "cycle:64", "grid:8x8", "star:64", "wheel:64",
+		"caterpillar:16,3", "circulant:64,1,5", "random:64", "randm:64,96",
+		"margulis:8", "rmat:6,4", "maze:8", "bintree:63", "road:10x10",
+		"tree:128", "hypercube:8", "torus:16x16", "rreg:256,4", "rreg:384,4",
+	}
+	for _, spec := range specs {
+		wl := graph.MustWorkload(spec)
+		for seed := uint64(1); seed <= 10; seed++ {
+			g, err := wl.Build(graph.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := New(g.N(), Scaled).Check(g); err != nil {
+				t.Errorf("%s seed %d: %v", spec, seed, err)
+			}
 		}
 	}
 }

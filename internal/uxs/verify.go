@@ -1,11 +1,14 @@
 package uxs
 
-import "repro/internal/graph"
+import (
+	"fmt"
+
+	"repro/internal/graph"
+)
 
 // CoverageRounds simulates the sequence-driven walk on g from start and
 // returns the first step index (1-based) at which every node has been
-// visited, or -1 if the full sequence does not cover the graph. The
-// harness uses it to certify a sequence before a run (see package doc).
+// visited, or -1 if the full sequence does not cover the graph.
 func (u *UXS) CoverageRounds(g *graph.Graph, start int) int {
 	n := g.N()
 	if n == 1 {
@@ -29,24 +32,28 @@ func (u *UXS) CoverageRounds(g *graph.Graph, start int) int {
 	return -1
 }
 
-// Covers reports whether the walk from every start node visits all nodes
-// within the sequence length. Gathering correctness needs coverage from
-// every possible position, because a waiting robot can sit anywhere.
-func (u *UXS) Covers(g *graph.Graph) bool {
-	for s := 0; s < g.N(); s++ {
-		if u.CoverageRounds(g, s) < 0 {
-			return false
-		}
-	}
-	return true
+// CoverError reports a start node from which the walk of length T leaves
+// some node of the graph unvisited.
+type CoverError struct {
+	Graph string // the graph's String()
+	Start int
+	T     int
 }
 
-// certify is the uncached certification walk behind Certify (cache.go).
-func certify(g *graph.Graph, m Mode) *UXS {
-	n := g.N()
-	u := New(n, m)
-	for !u.Covers(g) {
-		u = WithLength(n, int(satMul(int64(u.length), 2)))
+func (e *CoverError) Error() string {
+	return fmt.Sprintf("uxs: the walk of length T=%d from node %d does not cover %s", e.T, e.Start, e.Graph)
+}
+
+// Check returns nil when the walk from every start node visits all nodes
+// of g within the sequence length, and otherwise a *CoverError naming the
+// first start node whose walk does not. Gathering correctness needs
+// coverage from every possible position, because a waiting robot can sit
+// anywhere.
+func (u *UXS) Check(g *graph.Graph) error {
+	for s := 0; s < g.N(); s++ {
+		if u.CoverageRounds(g, s) < 0 {
+			return &CoverError{Graph: g.String(), Start: s, T: u.length}
+		}
 	}
-	return u
+	return nil
 }
