@@ -23,13 +23,12 @@ lint:
 # The allocation gates CI enforces, runnable locally; failures echo the
 # offending benchmark line (scripts/benchgate.awk).
 bench-smoke:
-	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|WorldReset|SweepPooledWorld|BatchStep' -benchtime 1x . > /tmp/bench-smoke.txt
+	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|WorldReset|SweepPooledWorld' -benchtime 1x . > /tmp/bench-smoke.txt
 	@cat /tmp/bench-smoke.txt
 	awk -f scripts/benchgate.awk -v mode=zeroalloc -v re='^BenchmarkStepHotLoop' -v want=2 /tmp/bench-smoke.txt
 	awk -f scripts/benchgate.awk -v mode=zeroalloc -v re='^BenchmarkOverlayChurnStep' -v want=2 /tmp/bench-smoke.txt
 	awk -f scripts/benchgate.awk -v mode=zeroalloc -v re='^BenchmarkWorldReset' -v want=2 /tmp/bench-smoke.txt
 	awk -f scripts/benchgate.awk -v mode=zeroalloc -v re='^BenchmarkNeighborWalk' -v want=3 /tmp/bench-smoke.txt
-	awk -f scripts/benchgate.awk -v mode=zeroalloc -v re='^BenchmarkBatchStep' -v want=2 /tmp/bench-smoke.txt
 	awk -f scripts/benchgate.awk -v mode=ratio -v num='^BenchmarkSweepPooledWorld/pooled' -v den='^BenchmarkSweepPooledWorld/rebuild' -v factor=5 /tmp/bench-smoke.txt
 
 # Diff the perf benchmark set against the last entry of the append-only
@@ -41,10 +40,9 @@ bench-smoke:
 #   awk -f scripts/benchledger.awk -v mode=append -v label=PRn \
 #       /tmp/bench-ledger.txt >> bench/LEDGER.ndjson
 bench-ledger:
-	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|SweepSharedGraph|WorldReset|SweepPooledWorld|RunnerSerialVsParallel|BatchStep|BatchVsScalarSweep' -benchtime 100ms . > /tmp/bench-ledger.txt
+	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|SweepSharedGraph|WorldReset|SweepPooledWorld|RunnerSerialVsParallel' -benchtime 100ms . > /tmp/bench-ledger.txt
 	@cat /tmp/bench-ledger.txt
 	awk -f scripts/benchledger.awk -v mode=gate -v factor=3 -v skip='^BenchmarkBuildDirect/|^BenchmarkMemoryFootprint$$' bench/LEDGER.ndjson /tmp/bench-ledger.txt
-	awk -f scripts/benchgate.awk -v mode=ratio -v metric='ns/rw' -v num='^BenchmarkBatchVsScalarSweep/batch' -v den='^BenchmarkBatchVsScalarSweep/scalar' -v factor=1.15 /tmp/bench-ledger.txt
 
 # The sweep service conformance gate: sweepd's bytes must equal the CLI's
 # on the golden sweep, and a repeat must be a cache hit. The script stops

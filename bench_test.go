@@ -19,7 +19,6 @@ import (
 	"repro/internal/place"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/uxs"
 )
 
@@ -597,136 +596,6 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// BenchmarkBatchStep measures the steady-state cost of one lockstep round
-// across a whole batch of worlds and reports allocs/op: like the scalar
-// engine's Step, the batch engine's contract — gated in CI — is zero
-// allocations per Step once the flat SoA state is warm. The two variants
-// hold total robot count fixed (256) while trading lanes for robots, so
-// the per-lane dispatch overhead and the per-robot work are both visible.
-func BenchmarkBatchStep(b *testing.B) {
-	for _, c := range []struct{ lanes, k int }{{8, 32}, {32, 8}} {
-		b.Run(fmt.Sprintf("lanes=%d_k=%d", c.lanes, c.k), func(b *testing.B) {
-			rng := graph.NewRNG(12)
-			g := graph.Grid(16, 16).WithPermutedPorts(rng)
-			e := batch.NewEngine()
-			for l := 0; l < c.lanes; l++ {
-				agents := make([]sim.Agent, c.k)
-				pos := make([]int, c.k)
-				for i := range agents {
-					agents[i] = &wanderer{Base: sim.NewBase(i + 1), step: l*c.k + i}
-					pos[i] = rng.Intn(g.N())
-				}
-				if _, err := e.AddLane(g, agents, pos, 1<<30, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Warm the scratch past its high-water marks (the wanderers'
-			// walks are deterministic and periodic), so the measured steady
-			// state is allocation-free even at -benchtime 1x.
-			for i := 0; i < 2048; i++ {
-				e.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkBatchVsScalarSweep pins the payoff of lockstep mega-batching:
-// the identical 32-seed sweep — one frozen rreg:4096,4 instance (a CSR too
-// large for cache locality to come free), 8 wandering robots, each seed
-// owning its semi-synchronous activation stream — run world-by-world
-// through the scalar engine versus as 32 lanes of one batch engine. The
-// seeds share the instance, so lanes stay largely co-resident and each
-// occupied node's CSR row is loaded once per round for every lane on it,
-// instead of once per world. Both arms report ns/rw — nanoseconds per
-// simulated (round x world) — which is the metric CI gates.
-func BenchmarkBatchVsScalarSweep(b *testing.B) {
-	const (
-		W      = 32
-		k      = 8
-		rounds = 64
-		spec   = "rreg:4096,4"
-	)
-	g, err := graph.BuildWorkload(spec, graph.NewRNG(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	basePos := make([]int, k)
-	prng := graph.NewRNG(1000)
-	for i := range basePos {
-		basePos[i] = prng.Intn(g.N())
-	}
-	mkLane := func(lane int) ([]sim.Agent, []int) {
-		agents := make([]sim.Agent, k)
-		for i := range agents {
-			agents[i] = &wanderer{Base: sim.NewBase(i + 1), step: lane*k + i}
-		}
-		return agents, append([]int(nil), basePos...)
-	}
-	reportRW := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*W*rounds), "ns/rw")
-	}
-	b.Run("scalar", func(b *testing.B) {
-		worlds := make([]*sim.World, W)
-		lanes := make([][]sim.Agent, W)
-		poss := make([][]int, W)
-		for l := range worlds {
-			lanes[l], poss[l] = mkLane(l)
-			w, err := sim.NewWorld(g, lanes[l], poss[l])
-			if err != nil {
-				b.Fatal(err)
-			}
-			worlds[l] = w
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l, w := range worlds {
-				for _, a := range lanes[l] {
-					a.(sim.Resettable).Reset(a.ID())
-				}
-				if err := w.Reset(lanes[l], poss[l]); err != nil {
-					b.Fatal(err)
-				}
-				w.SetScheduler(sim.NewSemiSync(0.9, uint64(l)))
-				for r := 0; r < rounds; r++ {
-					w.Step()
-				}
-			}
-		}
-		reportRW(b)
-	})
-	b.Run("batch", func(b *testing.B) {
-		e := batch.NewEngine()
-		lanes := make([][]sim.Agent, W)
-		poss := make([][]int, W)
-		for l := range lanes {
-			lanes[l], poss[l] = mkLane(l)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Reset()
-			for l := range lanes {
-				for _, a := range lanes[l] {
-					a.(sim.Resettable).Reset(a.ID())
-				}
-				if _, err := e.AddLane(g, lanes[l], poss[l], 1<<30, sim.NewSemiSync(0.9, uint64(l))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for r := 0; r < rounds; r++ {
-				e.Step()
-			}
-		}
-		reportRW(b)
 	})
 }
 

@@ -40,7 +40,6 @@ func experiments() int {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		outDir   = flag.String("outdir", "", "also write each experiment's output to <outdir>/<ID>.txt")
 		parallel = flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-		batchW   = flag.Int("batch", 0, "lockstep batch width: step up to this many sweep worlds together per worker (0 = scalar path); tables are bit-identical at every width")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -81,7 +80,7 @@ func experiments() int {
 		}
 	}
 
-	opts := expt.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel, BatchWidth: *batchW}
+	opts := expt.Options{Quick: *quick, Seed: *seed, Parallelism: *parallel}
 	failed := 0
 	for _, e := range selected {
 		fmt.Printf("\n== %s: %s ==\n   claim: %s\n\n", e.ID, e.Title, e.Claim)

@@ -8,14 +8,17 @@
 //	gathersim -workload maze:6x6,4 -k 5 -algo undispersed -placement clustered
 //	gathersim -family cycle -n 12 -k 7           # same as -workload cycle:12
 //
-// With -seeds N it becomes a batch harness: ONE frozen graph is built from
-// -seed and shared, read-only, by all N jobs on the internal/runner worker
-// pool (-parallel sets the pool size; 0 = all cores); each seed draws its
-// own IDs, placement and scheduler. Each worker owns a pooled simulation
-// arena, so after its first job it rewinds one long-lived world via Reset
-// instead of rebuilding the engine. One summary row prints per seed plus
+// With -seeds N it runs a seed sweep through the sweep service's executor
+// (serve.Execute), so it takes the service's request limits too (at most
+// 2^16 seeds, k <= 2^20): ONE frozen graph is built from -seed and
+// shared, read-only, by all N jobs on the internal/runner worker pool
+// (-parallel caps the pool; 0 = all cores); each seed draws its own IDs,
+// placement and scheduler. Each worker owns a pooled simulation arena, so
+// after its first job it rewinds one long-lived world via Reset instead
+// of rebuilding the engine. One summary row prints per seed plus
 // aggregate stats; rows are bit-identical at every -parallel setting
-// (pooled or not), and no job constructs a graph.
+// (pooled or not), and no job constructs a graph. -ndjson prints the
+// same sweep as the service's NDJSON response.
 //
 //	gathersim -workload cycle:12 -k 7 -seeds 32 -parallel 8
 //
@@ -43,10 +46,8 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/prof"
-	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -70,9 +71,8 @@ func gathersim() int {
 		faults    = flag.String("faults", "none", "fault adversary: none | crash:F[@R] | recover:F,D[@R] | byz:F (see -list)")
 		churn     = flag.Float64("churn", 0, "per-round edge-churn probability in [0,1]: a seeded adversary toggles non-bridge edges, preserving connectivity (0 = static graph)")
 		seed      = flag.Uint64("seed", 1, "random seed (drives graph, ports, IDs, placement)")
-		seeds     = flag.Int("seeds", 1, "run this many consecutive seeds as a parallel batch on one shared graph")
-		parallel  = flag.Int("parallel", 0, "batch worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-		batchW    = flag.Int("batch", 8, "lockstep batch width for -seeds mode: worlds stepped together per worker (0 = scalar path); output is bit-identical at every width")
+		seeds     = flag.Int("seeds", 1, "run this many consecutive seeds as a parallel sweep on one shared graph (at most 65536)")
+		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial); a sweep uses at most one worker per 8 seeds")
 		ndjson    = flag.Bool("ndjson", false, "emit the seed sweep as NDJSON rows through the sweep-service executor — byte-identical to a sweepd response for the same tuple")
 		phases    = flag.Bool("phases", false, "measure per-phase engine time (observe/communicate/decide/resolve/apply) and print the totals")
 		maxRounds = flag.Int("max-rounds", 0, "round cap (0 = algorithm-derived bound)")
@@ -124,16 +124,23 @@ func gathersim() int {
 	prof.EnablePhases(*phases)
 
 	switch {
-	case *ndjson:
+	case *ndjson || *seeds > 1:
 		if *trace > 0 || *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -ndjson mode")
+			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -seeds and -ndjson modes")
 		}
-		err = runNDJSON(spec, *algo, *placement, *sched, *faults, *churn, *k, *radius, *seed, *seeds, *maxRounds, *parallel, *batchW)
-	case *seeds > 1:
-		if *trace > 0 || *dotFile != "" {
-			fmt.Fprintln(os.Stderr, "gathersim: -trace and -dot apply to single runs only; ignored in -seeds batch mode")
-		}
-		err = runBatch(wl, *algo, *placement, *sched, fs, *churn, *k, *radius, *seed, *seeds, *parallel, *batchW, *maxRounds, *times)
+		err = runSweep(serve.SweepRequest{
+			Workload:  spec,
+			Algo:      *algo,
+			K:         *k,
+			Radius:    *radius,
+			Placement: *placement,
+			Sched:     *sched,
+			Seed:      *seed,
+			Seeds:     *seeds,
+			MaxRounds: *maxRounds,
+			Faults:    *faults,
+			Churn:     *churn,
+		}, wl, fs, *parallel, *ndjson, *times)
 	default:
 		err = run(wl, *algo, *placement, *sched, *dotFile, fs, *churn, *k, *radius, *seed, *maxRounds, *trace)
 	}
@@ -217,42 +224,6 @@ func buildScenario(wl *graph.Workload, placement string, k int, seed uint64) (*g
 	return &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}, nil
 }
 
-// runNDJSON routes the seed sweep through the sweep-service executor and
-// prints the NDJSON body: one header row, one row per seed, one
-// aggregate row. The CLI flags are serialized into a sweep request and
-// parsed by the SAME decoder the service uses, so validation, defaults
-// and execution are the service's own — which is what makes this output
-// byte-identical to a sweepd response for the same tuple (the CI
-// conformance gate diffs the two).
-func runNDJSON(workload, algo, placement, sched, faults string, churn float64, k, radius int, seed uint64, seeds, maxRounds, parallel, batchW int) error {
-	raw, err := json.Marshal(serve.SweepRequest{
-		Workload:  workload,
-		Algo:      algo,
-		K:         k,
-		Radius:    radius,
-		Placement: placement,
-		Sched:     sched,
-		Seed:      seed,
-		Seeds:     seeds,
-		MaxRounds: maxRounds,
-		Faults:    faults,
-		Churn:     churn,
-	})
-	if err != nil {
-		return err
-	}
-	req, err := serve.ParseSweepRequest(raw)
-	if err != nil {
-		return err
-	}
-	body, err := serve.ExecuteNDJSON(context.Background(), req, serve.ExecConfig{Parallel: parallel, Batch: batchW})
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(body)
-	return err
-}
-
 func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Spec, churn float64, k, radius int, seed uint64, maxRounds, trace int) error {
 	sc, err := buildScenario(wl, placement, k, seed)
 	if err != nil {
@@ -322,132 +293,50 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 	return nil
 }
 
-// runBatch executes the scenario shape across consecutive seeds on the
-// parallel runner and prints a per-seed summary table. The frozen graph is
-// built ONCE from the base -seed and shared read-only by every job; each
-// job draws its own IDs, placement and scheduler from its row seed
-// (schedulers are per-run stateful), so rows are bit-identical at every
-// -parallel setting and no worker ever constructs a graph. Each worker
-// additionally owns a pooled gather.Arena: every job after a worker's
-// first reuses that worker's world and agents via Reset instead of
-// allocating a fresh engine, so the batch's steady-state per-job cost is
-// IDs + placement + scheduler, nothing else.
-func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, churn float64, k, radius int, base uint64, seeds, parallel, batchW, maxRounds int, times bool) error {
-	g, err := wl.Build(graph.NewRNG(base))
+// runSweep runs the seed sweep through the sweep-service executor. The
+// request is serialized and parsed by the SAME decoder the service uses,
+// so validation, defaults, limits and execution are the service's own.
+// With ndjson it prints the service's response body — byte-identical to a
+// sweepd response for the same tuple, which the CI conformance gate
+// diffs — and otherwise a per-seed summary table rendered from the same
+// results.
+func runSweep(sr serve.SweepRequest, wl *graph.Workload, fs fault.Spec, parallel int, ndjson, times bool) error {
+	raw, err := json.Marshal(sr)
+	if err != nil {
+		return err
+	}
+	req, err := serve.ParseSweepRequest(raw)
+	if err != nil {
+		return err
+	}
+	cfg := serve.ExecConfig{Parallel: parallel}
+	if ndjson {
+		body, err := serve.ExecuteNDJSON(context.Background(), req, cfg)
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(body)
+		return err
+	}
+	g, results, st, err := serve.Execute(context.Background(), req, cfg)
 	if err != nil {
 		return err
 	}
 
-	// buildJobScenario derives one row's scenario exactly the same way on
-	// the scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph shared.
-	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
-		rng := graph.NewRNG(scSeed)
-		if k < 1 {
-			return nil, fmt.Errorf("need at least one robot")
-		}
-		pos, err := serve.PlaceRobots(g, placement, k, rng)
-		if err != nil {
-			return nil, err
-		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}
-		if sc.Sched, err = serve.BuildSched(sched, scSeed); err != nil {
-			return nil, err
-		}
-		return sc, nil
-	}
-
-	// overlayFor fetches the churn overlay from the worker's pool (fresh
-	// when the runner carries no pool). Churn is per-instance — one seed
-	// for the whole batch — so every row, and every lane of a lockstep
-	// batch, sees the same edge weather.
-	overlayFor := func(state any) *graph.Overlay {
-		ovSeed := base ^ gather.ChurnSeedSalt
-		if p := gather.OverlayPoolOf(state); p != nil {
-			return p.Get(g, churn, ovSeed)
-		}
-		return graph.NewOverlay(g, churn, ovSeed)
-	}
-
-	jobs := make([]runner.Job, seeds)
-	for i := range jobs {
-		scSeed := base + uint64(i)
-		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return nil, 0, err
-				}
-				w, cap, err := serve.BuildWorld(sc, algo, radius, gather.ArenaOf(state))
-				if err != nil {
-					return nil, 0, err
-				}
-				if maxRounds > 0 {
-					cap = maxRounds
-				}
-				if err := fault.Apply(w, sc.IDs, fs.Plan(k, cap, scSeed^gather.FaultSeedSalt)); err != nil {
-					return nil, 0, err
-				}
-				if churn > 0 {
-					if err := w.SetOverlay(overlayFor(state)); err != nil {
-						return nil, 0, err
-					}
-				}
-				return w, cap, nil
-			},
-			Lane: func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(algo, radius)
-				if err != nil {
-					return err
-				}
-				if maxRounds > 0 {
-					cap = maxRounds
-				}
-				if churn > 0 {
-					// Bind before AddLane so the engine cross-checks the
-					// overlay's graph against the first lane's.
-					if err := e.SetOverlay(overlayFor(state)); err != nil {
-						return err
-					}
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo, radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				return fault.ApplyLane(e, lane, sc.IDs, fs.Plan(k, cap, scSeed^gather.FaultSeedSalt))
-			}}
-	}
-	r := runner.New(parallel).WithWorkerState(func(int) any { return gather.NewSweepState() })
+	base := req.Seed
 	fmt.Printf("batch: %d seeds (%d..%d), algo %s, workload %s, sched %s, k=%d\n",
-		seeds, base, base+uint64(seeds)-1, algo, wl, sched, k)
-	if fs.Kind != fault.None || churn > 0 {
-		fmt.Printf("adversary: faults=%s churn=%g\n", fs, churn)
+		req.Seeds, base, base+uint64(req.Seeds)-1, req.Algo, wl, req.Sched, req.K)
+	if fs.Kind != fault.None || req.Churn > 0 {
+		fmt.Printf("adversary: faults=%s churn=%g\n", fs, req.Churn)
 	}
 	fmt.Printf("shared graph: %s (diameter %s), built once from seed %d",
 		g, diameterLabel(g), base)
 	if times {
 		// Worker count and wall times vary with -parallel; keep them out
 		// of -times=false output so it diffs clean at any pool size.
-		fmt.Printf(", %d workers", r.Workers())
+		fmt.Printf(", %d workers", st.Workers)
 	}
 	fmt.Print("\n\n")
-	var (
-		results []runner.JobResult
-		st      runner.Stats
-	)
-	if batchW > 0 {
-		results, st = r.RunBatched(base, jobs, batchW)
-	} else {
-		results, st = r.Run(base, jobs)
-	}
 
 	fmt.Printf("%8s %8s %6s %8s %10s", "seed", "rounds", "gather", "detect", "moves")
 	if times {
@@ -458,16 +347,10 @@ func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, 
 	firstStack := ""
 	for _, res := range results {
 		if res.Err != nil {
-			// Only a contained panic (algorithm run outside its model,
-			// recognizable by its captured stack) is a per-seed outcome:
-			// the other seeds' rows still print, and the one-line message
-			// is deterministic so batch output stays diffable across
-			// -parallel settings. A plain build error (bad placement,
-			// beep with k>2) is a configuration mistake and fails the
-			// batch like it fails a single run.
-			if res.Stack == "" {
-				return fmt.Errorf("seed %d: %w", res.Meta.(uint64), res.Err)
-			}
+			// A contained panic (algorithm run outside its model) is a
+			// per-seed outcome; serve.Execute fails the sweep on any other
+			// error. The one-line message is deterministic, so the table
+			// stays diffable across -parallel settings.
 			crashed++
 			if firstStack == "" {
 				firstStack = res.Stack
@@ -494,7 +377,7 @@ func runBatch(wl *graph.Workload, algo, placement, sched string, fs fault.Spec, 
 	}
 	if times {
 		fmt.Printf("wall %s, summed job time %s on %d workers\n",
-			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), r.Workers())
+			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), st.Workers)
 	}
 	return nil
 }

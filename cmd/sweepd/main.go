@@ -2,8 +2,8 @@
 // batch harness behind an HTTP front. It accepts declarative sweep
 // requests — workload spec × algorithm × k × scheduler × seed range, the
 // workload catalog grammar as the wire format — validates them eagerly,
-// executes them on the pooled parallel runner through the lockstep batch
-// engine, and streams the result rows back as NDJSON. Repeated requests
+// executes them on the pooled parallel runner, and streams the result
+// rows back as NDJSON. Repeated requests
 // are content-addressed cache hits: responses are keyed on the canonical
 // request, so identical requests from many clients pay one execution.
 //
@@ -13,7 +13,7 @@
 //	  http://127.0.0.1:8787/sweep
 //
 // The response is bit-identical to `gathersim -ndjson` with the same
-// tuple, at every -parallel/-batch setting, on both the cache-miss and
+// tuple, at every -parallel setting, on both the cache-miss and
 // cache-hit paths — the conformance suite in internal/serve and the CI
 // sweepd gate pin that byte-for-byte. GET /metrics exposes cache
 // hit/miss/eviction counters, queue backpressure counters, and the
@@ -45,8 +45,7 @@ func main() {
 func sweepd() int {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8787", "listen address")
-		parallel = flag.Int("parallel", 0, "worker-pool size per execution (0 = GOMAXPROCS); output-invariant")
-		batchW   = flag.Int("batch", 8, "lockstep batch width (0 = scalar path); output-invariant")
+		parallel = flag.Int("parallel", 0, "worker-pool size per execution (0 = GOMAXPROCS; a sweep uses at most one worker per 8 seeds); output-invariant")
 		queue    = flag.Int("queue", 4, "concurrent sweep executions admitted before 429")
 		cacheN   = flag.Int("cache", 256, "result-cache capacity (whole response bodies)")
 		phases   = flag.Bool("phases", true, "accumulate per-phase engine time for /metrics (near-zero cost)")
@@ -59,7 +58,6 @@ func sweepd() int {
 		Addr: *addr,
 		Handler: serve.NewServer(serve.Config{
 			Parallel:     *parallel,
-			Batch:        *batchW,
 			QueueDepth:   *queue,
 			CacheEntries: *cacheN,
 		}),
@@ -76,8 +74,8 @@ func sweepd() int {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("sweepd: listening on %s (batch %d, queue %d, cache %d)\n",
-			*addr, *batchW, *queue, *cacheN)
+		fmt.Printf("sweepd: listening on %s (queue %d, cache %d)\n",
+			*addr, *queue, *cacheN)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -93,7 +93,6 @@ func (p *Pass) Annotations() *Annotations {
 // reads never feed anything the determinism gates hash or diff.
 var DeterministicPackages = []string{
 	"repro/internal/sim",
-	"repro/internal/sim/batch",
 	"repro/internal/gather",
 	"repro/internal/graph",
 	"repro/internal/uxs",

@@ -21,8 +21,8 @@
 // the mask may be stored to only inside the overlay's own lifecycle
 // (NewOverlay, Reset, churnRound, all in overlay.go). Any other write
 // would let simulation code edit the adversary's coin flips mid-run,
-// breaking both determinism and the one-overlay-per-batch sharing
-// contract, so it is flagged exactly like a frozen-CSR write.
+// breaking both determinism and the pooled-overlay replay contract, so it
+// is flagged exactly like a frozen-CSR write.
 package frozenwrite
 
 import (

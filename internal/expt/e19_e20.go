@@ -9,7 +9,6 @@ import (
 	"repro/internal/place"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 )
 
 func init() {
@@ -125,23 +124,11 @@ func runE19(w io.Writer, o Options) error {
 						// 1/p activation stretch, and a clear timeout
 						// verdict for runs desynchronization breaks.
 						return world, 2 * algo.bound(sc), err
-					},
-					Lane: func(_ uint64, state any, e *batch.Engine) error {
-						sched, err := sim.ParseScheduler(spec, inst.seed^0x19)
-						if err != nil {
-							return err
-						}
-						agents, err := inst.sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo.name, 0)
-						if err != nil {
-							return err
-						}
-						_, err = e.AddLane(inst.sc.G, agents, inst.sc.Positions, 2*algo.bound(inst.sc), sched)
-						return err
 					}})
 			}
 		}
 	}
-	results, _ := runSweep(o, o.Seed+19, jobs)
+	results, _ := sweepRunner(o).Run(o.Seed+19, jobs)
 	for _, res := range results {
 		c := res.Meta.(*cell)
 		switch {
@@ -230,19 +217,10 @@ func runE20(w io.Writer, o Options) error {
 					world, err := sc.NewDessmarkWorldIn(gather.ArenaOf(state))
 					m.cap = 8 * (sc.Cfg.FasterBound(sc.G.N()) + 10)
 					return world, m.cap, err
-				},
-				Lane: func(_ uint64, state any, e *batch.Engine) error {
-					agents, err := inst.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), "dessmark", 0)
-					if err != nil {
-						return err
-					}
-					m.cap = 8 * (inst.Cfg.FasterBound(inst.G.N()) + 10)
-					_, err = e.AddLane(inst.G, agents, inst.Positions, m.cap, sim.NewSemiSync(pt.p, caseSeed^0x20))
-					return err
 				}})
 		}
 	}
-	results, _ := runSweep(o, o.Seed+20, jobs)
+	results, _ := sweepRunner(o).Run(o.Seed+20, jobs)
 	if err := runner.FirstErr(results); err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -106,26 +105,11 @@ func runE21(w io.Writer, o Options) error {
 							return nil, 0, err
 						}
 						return world, cap, nil
-					},
-					Lane: func(_ uint64, state any, e *batch.Engine) error {
-						cap, err := inst.sc.AlgoCap(algo, 2)
-						if err != nil {
-							return err
-						}
-						agents, err := inst.sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), algo, 2)
-						if err != nil {
-							return err
-						}
-						lane, err := e.AddLane(inst.sc.G, agents, inst.sc.Positions, cap, nil)
-						if err != nil {
-							return err
-						}
-						return fault.ApplyLane(e, lane, inst.sc.IDs, fs.Plan(k, cap, inst.seed^gather.FaultSeedSalt))
 					}})
 			}
 		}
 	}
-	results, _ := runSweep(o, o.Seed+21, jobs)
+	results, _ := sweepRunner(o).Run(o.Seed+21, jobs)
 	for _, res := range results {
 		c := res.Meta.(*cell)
 		switch {
@@ -302,7 +286,7 @@ func runE23(w io.Writer, o Options) error {
 		G: g, Algo: "faster", Radius: 2, K: 4,
 		Placement: "random", Sched: "full", Faults: fs,
 		Population: pop, Generations: gens, Seed: o.Seed + 23,
-		Parallelism: o.Parallelism, BatchWidth: o.BatchWidth,
+		Parallelism: o.Parallelism,
 	}
 	res, err := hunt.Run(cfg)
 	if err != nil {

@@ -30,13 +30,6 @@ type Options struct {
 	// setting — each sweep point derives its randomness from a seed
 	// fixed by (Seed, submission index), never from scheduling order.
 	Parallelism int
-	// BatchWidth routes sweeps through the lockstep multi-world engine
-	// (runner.RunBatched): up to BatchWidth consecutive jobs that share a
-	// frozen graph step as lanes of one batch. 0 (the default) keeps the
-	// scalar per-job path. Tables are bit-identical at every width — jobs
-	// without a Lane loader simply fall back to the scalar path inside the
-	// batched runner.
-	BatchWidth int
 }
 
 // sweep executes a batch of scenario jobs through the shared parallel
@@ -46,26 +39,15 @@ type Options struct {
 // long-lived world per worker instead of allocating a fresh engine per
 // sweep point; jobs using plain Build are unaffected.
 func sweep(o Options, base uint64, jobs []runner.Job) ([]runner.JobResult, error) {
-	results, _ := runSweep(o, base, jobs)
+	results, _ := sweepRunner(o).Run(base, jobs)
 	if err := runner.FirstErr(results); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// runSweep dispatches a job batch to the scalar pool or, when
-// o.BatchWidth is set, the lockstep batched pool — the single routing
-// point every experiment sweep goes through.
-func runSweep(o Options, base uint64, jobs []runner.Job) ([]runner.JobResult, runner.Stats) {
-	if o.BatchWidth > 0 {
-		return sweepRunner(o).RunBatched(base, jobs, o.BatchWidth)
-	}
-	return sweepRunner(o).Run(base, jobs)
-}
-
 // sweepRunner builds the experiment runner: o.Parallelism workers, each
-// owning a pooled simulation state (a scalar arena plus a per-lane agent
-// arena, so both execution paths pool).
+// owning a pooled simulation state (a world arena plus an overlay pool).
 func sweepRunner(o Options) *runner.Runner {
 	return runner.New(o.Parallelism).WithWorkerState(func(int) any { return gather.NewSweepState() })
 }

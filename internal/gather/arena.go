@@ -1,6 +1,8 @@
 package gather
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -48,9 +50,9 @@ type arenaKey struct {
 func NewArena() *Arena { return &Arena{} }
 
 // ArenaOf coerces a runner worker-state value into an arena, unwrapping a
-// SweepState (the combined scalar+lane worker state of batched sweeps). A
-// nil state (runner without WithWorkerState) or a foreign type yields nil,
-// which every pooled builder treats as "construct fresh" — so job code can
+// SweepState (the arena plus overlay pool of a sweep worker). A nil state
+// (runner without WithWorkerState) or a foreign type yields nil, which
+// every pooled builder treats as "construct fresh" — so job code can
 // thread the state through unconditionally.
 func ArenaOf(state any) *Arena {
 	switch v := state.(type) {
@@ -114,11 +116,10 @@ func (s *Scenario) newWorldIn(a *Arena, algo string, radius int, mk func(id int)
 	return w, nil
 }
 
-// NewAlgoWorldIn is newWorldIn keyed by algorithm name, sharing the
-// per-robot constructor table (algoMk) with the batched agent-set path so
-// the two execution paths can never drift apart on construction inputs.
-// Callers that sweep over algorithm names (the CLIs, equivalence tests)
-// use this directly; the New*WorldIn wrappers below pin the names.
+// NewAlgoWorldIn is newWorldIn keyed by algorithm name, through the
+// per-robot constructor table (algoMk). Callers that sweep over algorithm
+// names (the CLIs, the sweep service) use this directly; the New*WorldIn
+// wrappers below pin the names.
 func (s *Scenario) NewAlgoWorldIn(a *Arena, algo string, radius int) (*sim.World, error) {
 	mk, err := s.algoMk(algo, radius)
 	if err != nil {
@@ -158,4 +159,101 @@ func (s *Scenario) NewDessmarkWorldIn(a *Arena) (*sim.World, error) {
 // algoMk).
 func (s *Scenario) NewBeepWorldIn(a *Arena) (*sim.World, error) {
 	return s.NewAlgoWorldIn(a, "beep", 0)
+}
+
+// algoMk resolves a named algorithm to its per-robot agent constructor —
+// the same constructors the New*World paths wrap. radius is the hopmeet
+// radius and ignored elsewhere. The error texts mirror the CLI contract
+// ("unknown algorithm", beep's two-robot limit).
+func (s *Scenario) algoMk(algo string, radius int) (func(id int) sim.Agent, error) {
+	n := s.G.N()
+	switch algo {
+	case "faster":
+		return func(id int) sim.Agent { return NewFasterAgent(s.Cfg, n, id) }, nil
+	case "uxs":
+		return func(id int) sim.Agent { return NewUXSGAgent(s.Cfg, n, id) }, nil
+	case "undispersed":
+		return func(id int) sim.Agent { return NewUGAgent(n, id) }, nil
+	case "hopmeet":
+		return func(id int) sim.Agent { return NewHopMeetAgent(s.Cfg, radius, n, id) }, nil
+	case "dessmark":
+		return func(id int) sim.Agent { return NewDessmarkAgent(s.Cfg, n, id) }, nil
+	case "beep":
+		if len(s.IDs) > 2 {
+			return nil, errTooManyForBeep
+		}
+		return func(id int) sim.Agent { return NewBeepAgent(s.Cfg, n, id) }, nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q", algo)
+}
+
+// AlgoCap returns the algorithm-derived round cap for the named algorithm
+// on this scenario — the one cap table gathersim, the sweep service and
+// the experiments share, so every surface runs a given (scenario,
+// algorithm) pair for the same round budget.
+func (s *Scenario) AlgoCap(algo string, radius int) (int, error) {
+	n := s.G.N()
+	switch algo {
+	case "faster", "dessmark":
+		return s.Cfg.FasterBound(n) + 10, nil
+	case "uxs", "beep":
+		return s.Cfg.UXSGatherBound(n) + 2, nil
+	case "undispersed":
+		return R(n) + 2, nil
+	case "hopmeet":
+		return s.Cfg.HopDuration(radius, n) + 2, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q", algo)
+}
+
+// OverlayPool is the worker-owned cache of the churn overlay: one
+// graph.Overlay keyed by (graph, rate, seed), rewound on every hit. A
+// sweep's jobs over one instance all ask for the same key, so every job
+// replays identical churn from one pooled overlay. Get rewinds eagerly;
+// the engine also rewinds a non-fresh overlay at its round 0, so an
+// interleaved run on the same worker can never leak advanced churn into
+// the next one.
+type OverlayPool struct {
+	ov *graph.Overlay
+}
+
+// NewOverlayPool returns an empty overlay pool.
+func NewOverlayPool() *OverlayPool { return &OverlayPool{} }
+
+// Get returns the pooled overlay for (g, rate, seed), rewound to round
+// zero — building a fresh one only when the key changes (NewOverlay costs
+// a BFS; sweeps hit the pooled path on every job after the first).
+func (p *OverlayPool) Get(g *graph.Graph, rate float64, seed uint64) *graph.Overlay {
+	if p.ov != nil && p.ov.Base() == g && p.ov.Rate() == rate && p.ov.Seed() == seed {
+		p.ov.Reset()
+		return p.ov
+	}
+	p.ov = graph.NewOverlay(g, rate, seed)
+	return p.ov
+}
+
+// OverlayPoolOf coerces a runner worker-state value into an overlay pool,
+// unwrapping a SweepState. nil or a foreign type yields nil — callers
+// then build fresh overlays — like ArenaOf.
+func OverlayPoolOf(state any) *OverlayPool {
+	switch v := state.(type) {
+	case *OverlayPool:
+		return v
+	case *SweepState:
+		return v.Overlays
+	}
+	return nil
+}
+
+// SweepState bundles the world arena and the overlay pool into one runner
+// worker state, so churned sweeps pool both. ArenaOf and OverlayPoolOf
+// both unwrap it, so job code threads the state through unconditionally.
+type SweepState struct {
+	Arena    *Arena
+	Overlays *OverlayPool
+}
+
+// NewSweepState returns a sweep state with empty pools.
+func NewSweepState() *SweepState {
+	return &SweepState{Arena: NewArena(), Overlays: NewOverlayPool()}
 }

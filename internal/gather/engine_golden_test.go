@@ -192,15 +192,22 @@ func TestEngineGoldenPooledReset(t *testing.T) {
 	}
 }
 
+// runOutcome runs one golden instance in the arena (nil = fresh) and
+// returns its printable outcome: the result, or the contained panic error.
+func runOutcome(t *testing.T, sc *Scenario, algo string, a *Arena) string {
+	t.Helper()
+	w, cap := buildGoldenWorldIn(t, sc, algo, a)
+	res, err := w.SafeRun(cap)
+	return fmt.Sprintf("%+v err=%v", res, err)
+}
+
 // Pooled execution must match fresh execution under every scheduler, for
 // every algorithm — including the runs that legitimately crash outside
 // the synchronous model (the outcome, result or panic message, must be
 // identical too).
 func TestPooledMatchesFreshAcrossSchedulers(t *testing.T) {
 	outcome := func(sc *Scenario, algo string, a *Arena) string {
-		w, cap := buildGoldenWorldIn(t, sc, algo, a)
-		res, err := w.SafeRun(cap)
-		return fmt.Sprintf("%+v err=%v", res, err)
+		return runOutcome(t, sc, algo, a)
 	}
 	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet", "dessmark"} {
 		for _, spec := range []string{"full", "semi:0.6", "adv:2"} {
@@ -226,6 +233,43 @@ func TestPooledMatchesFreshAcrossSchedulers(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestBatchHeterogeneousAlgorithms runs one worker's batch of mixed jobs
+// through one SweepState: algorithms and schedulers change from job to
+// job, so the arena keeps switching shape, and semi-sync or adversarial
+// jobs may legitimately panic mid-run and leave a dirty world behind.
+// Every job must reproduce its fresh scalar run exactly, whatever ran on
+// the worker before it.
+func TestBatchHeterogeneousAlgorithms(t *testing.T) {
+	jobs := []struct{ algo, sched string }{
+		{"faster", "full"},
+		{"faster", "semi:0.6"},
+		{"faster", "full"},
+		{"uxs", "full"},
+		{"hopmeet", "adv:2"},
+		{"undispersed", "full"},
+		{"dessmark", "semi:0.6"},
+		{"faster", "adv:2"},
+		{"faster", "full"},
+	}
+	st := NewSweepState()
+	for i, sc := range goldenInstances("faster")[:3] {
+		for j, job := range jobs {
+			mkSched := func() sim.Scheduler {
+				sched, err := sim.ParseScheduler(job.sched, 1234+uint64(i*len(jobs)+j))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sched
+			}
+			fresh := runOutcome(t, sc.WithScheduler(mkSched()), job.algo, nil)
+			pooled := runOutcome(t, sc.WithScheduler(mkSched()), job.algo, st.Arena)
+			if fresh != pooled {
+				t.Fatalf("instance %d job %d (%s under %s) diverged in the batch:\nfresh:  %s\npooled: %s", i, j, job.algo, job.sched, fresh, pooled)
+			}
 		}
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -58,41 +56,47 @@ const (
 
 const goldenChurnRate = 0.15
 
-// faultGoldenRadius is the hopmeet radius of the golden grid.
-const faultGoldenRadius = 2
-
-// runFaultOutcome executes one faulted run on the scalar engine and
-// returns its printable outcome (result, or contained panic error).
-func runFaultOutcome(t *testing.T, sc *Scenario, algo, spec string, churn float64, i int) string {
+// runFaultOutcome executes one faulted run and returns its printable
+// outcome (result, or contained panic error). The fault plan is drawn from
+// planSeed and the churn overlay from churnSeed, both salted. A nil st
+// builds the world and the overlay fresh; otherwise both come from the
+// sweep state's pools, exactly as a sweep worker builds them.
+func runFaultOutcome(t *testing.T, sc *Scenario, algo, spec string, churn float64, planSeed, churnSeed uint64, st *SweepState) string {
 	t.Helper()
-	w, cap := buildGoldenWorldIn(t, sc, algo, nil)
-	installFaults(t, sc, w, nil, -1, spec, churn, cap, i)
+	var (
+		arena *Arena
+		pool  *OverlayPool
+	)
+	if st != nil {
+		arena, pool = st.Arena, st.Overlays
+	}
+	w, cap := buildGoldenWorldIn(t, sc, algo, arena)
+	installFaults(t, sc, w, pool, spec, churn, cap, planSeed, churnSeed)
 	res, err := w.SafeRun(cap)
 	return fmt.Sprintf("%+v err=%v", res, err)
 }
 
-// installFaults materializes and applies the golden plan for instance i on
-// either engine: w non-nil installs on the scalar world, else on lane of e.
-func installFaults(t *testing.T, sc *Scenario, w *sim.World, e *batch.Engine, lane int, spec string, churn float64, cap, i int) {
+// installFaults materializes the fault plan of planSeed and installs it,
+// plus the churn overlay of churnSeed when churn > 0, on the world. The
+// overlay comes from pool, or is built fresh when pool is nil.
+func installFaults(t *testing.T, sc *Scenario, w *sim.World, pool *OverlayPool, spec string, churn float64, cap int, planSeed, churnSeed uint64) {
 	t.Helper()
 	s, err := fault.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := s.Plan(len(sc.IDs), cap, uint64(i+1)^faultSeedSalt)
-	if w != nil {
-		if err := fault.Apply(w, sc.IDs, plan); err != nil {
+	plan := s.Plan(len(sc.IDs), cap, planSeed^faultSeedSalt)
+	if err := fault.Apply(w, sc.IDs, plan); err != nil {
+		t.Fatal(err)
+	}
+	if churn > 0 {
+		ov := graph.NewOverlay(sc.G, churn, churnSeed^churnSeedSalt)
+		if pool != nil {
+			ov = pool.Get(sc.G, churn, churnSeed^churnSeedSalt)
+		}
+		if err := w.SetOverlay(ov); err != nil {
 			t.Fatal(err)
 		}
-		if churn > 0 {
-			if err := w.SetOverlay(graph.NewOverlay(sc.G, churn, uint64(i+1)^churnSeedSalt)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return
-	}
-	if err := fault.ApplyLane(e, lane, sc.IDs, plan); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -107,7 +111,7 @@ func TestFaultGolden(t *testing.T) {
 				}
 				h := fnv.New64a()
 				for i, sc := range goldenInstances(algo) {
-					fmt.Fprintf(h, "%s;", runFaultOutcome(t, sc, algo, spec, churn, i))
+					fmt.Fprintf(h, "%s;", runFaultOutcome(t, sc, algo, spec, churn, uint64(i+1), uint64(i+1), nil))
 				}
 				got := h.Sum64()
 				if os.Getenv("GOLDEN_PRINT") != "" {
@@ -126,9 +130,13 @@ func TestFaultGolden(t *testing.T) {
 	}
 }
 
-// TestFaultScalarBatchEquivalence pins every fault path across the two
-// engines: a faulted lane must reproduce its faulted scalar twin exactly —
-// same results, or same contained panic payload.
+// TestFaultScalarBatchEquivalence pins every fault path on the sweep
+// path: a batch of faulted runs on one worker's SweepState — pooled
+// world, pooled agents, pooled churn overlay — must reproduce each run's
+// fresh scalar twin exactly (same results, or same contained panic
+// payload). Like a sweep's rows, each instance runs several fault plans
+// in a row over one churn overlay, so every run after the first
+// re-enters a world, agents and overlay that other victims dirtied.
 func TestFaultScalarBatchEquivalence(t *testing.T) {
 	for _, adv := range []string{"crash:1@3", "recover:1,6@3", "byz:1", "churn"} {
 		for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet"} {
@@ -138,47 +146,17 @@ func TestFaultScalarBatchEquivalence(t *testing.T) {
 				if adv == "churn" {
 					spec, churn = "none", goldenChurnRate
 				}
-				e := batch.NewEngine()
+				st := NewSweepState()
 				for i, sc := range goldenInstances(algo)[:6] {
-					cap, err := sc.AlgoCap(algo, faultGoldenRadius)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Scalar twin.
-					w, _ := buildGoldenWorldIn(t, sc, algo, nil)
-					installFaults(t, sc, w, nil, -1, spec, churn, cap, i)
-					sres, serr := w.SafeRun(cap)
-
-					// Batched run: one lane per engine batch (instances differ).
-					e.Reset()
-					if churn > 0 {
-						if err := e.SetOverlay(graph.NewOverlay(sc.G, churn, uint64(i+1)^churnSeedSalt)); err != nil {
-							t.Fatal(err)
+					inst := uint64(i + 1)
+					scalar := map[uint64]string{}
+					for _, plan := range []uint64{inst, 100 + inst, inst} {
+						if _, ok := scalar[plan]; !ok {
+							scalar[plan] = runFaultOutcome(t, sc, algo, spec, churn, plan, inst, nil)
 						}
-					}
-					agents, err := sc.NewAgents(algo, faultGoldenRadius)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					installFaults(t, sc, nil, e, lane, spec, churn, cap, i)
-					e.Run()
-					out := e.Outcome(lane)
-
-					if (serr != nil) != (out.PanicVal != nil) {
-						t.Fatalf("instance %d: scalar err=%v, batch panic=%v", i, serr, out.PanicVal)
-					}
-					if serr != nil {
-						if !strings.Contains(serr.Error(), fmt.Sprint(out.PanicVal)) {
-							t.Fatalf("instance %d: panic payloads differ:\nscalar %v\n batch %v", i, serr, out.PanicVal)
+						if got := runFaultOutcome(t, sc, algo, spec, churn, plan, inst, st); got != scalar[plan] {
+							t.Fatalf("instance %d plan %d under %s:\nscalar %s\n batch %s", i, plan, adv, scalar[plan], got)
 						}
-						continue
-					}
-					if fmt.Sprintf("%+v", sres) != fmt.Sprintf("%+v", out.Res) {
-						t.Fatalf("instance %d under %s:\nscalar %+v\n batch %+v", i, adv, sres, out.Res)
 					}
 				}
 			})

@@ -8,9 +8,9 @@ package gather
 //   - the fault plan is per-run: plan seed = job seed ^ FaultSeedSalt,
 //     so each seed of a sweep draws its own victims and crash rounds;
 //   - churn is per-instance: overlay seed = instance seed ^
-//     ChurnSeedSalt, because every lane of a batched instance shares one
-//     overlay and the edge weather must not depend on which row is
-//     running.
+//     ChurnSeedSalt, because every row of a sweep over one instance
+//     replays one pooled overlay and the edge weather must not depend on
+//     which row is running.
 const (
 	FaultSeedSalt = 0xFA177C0DE5EED042
 	ChurnSeedSalt = 0xC1124EEDC0FFEE17

@@ -26,12 +26,11 @@ import "fmt"
 //
 // Churn is drawn from the overlay's own seeded RNG, one stream for the
 // whole instance: round r's mask is a pure function of (graph, rate,
-// seed, r). Engines call AdvanceTo(r) before resolving round r; the
-// overlay applies each round's toggles exactly once, so scalar and batch
-// execution — which step rounds in the same order — observe identical
-// masks. An Overlay is single-world state like a Scheduler: share it
-// across the lanes of one lockstep batch (they run the same instance in
-// the same rounds), never across concurrent engines.
+// seed, r). The engine calls AdvanceTo(r) before resolving round r; the
+// overlay applies each round's toggles exactly once, so every run of an
+// instance observes identical masks. An Overlay is single-world state
+// like a Scheduler: a sweep worker reuses one pooled overlay across its
+// sequential runs, never across concurrent worlds.
 type Overlay struct {
 	g    *Graph  //repolint:keep identity: the frozen instance this overlay masks
 	rate float64 //repolint:keep identity: pool keys overlays by (g, rate, seed)

@@ -3,13 +3,14 @@ package graph
 // BFSDistances returns hop distances from src to every node (-1 when
 // unreachable, which Validate rules out for library graphs).
 func (g *Graph) BFSDistances(src int) []int {
-	return g.bfs(src, make([]int, g.N()), make([]int, 0, g.N()))
+	return g.BFSDistancesInto(src, make([]int, g.N()), make([]int, 0, g.N()))
 }
 
-// bfs fills dist with hop distances from src and returns it. queue must
+// BFSDistancesInto is BFSDistances into caller-owned buffers: it fills
+// dist (length n) with hop distances from src and returns it. queue must
 // have capacity n; every node enters it once, so it never grows, and
 // callers running many passes reuse both buffers instead of allocating.
-func (g *Graph) bfs(src int, dist, queue []int) []int {
+func (g *Graph) BFSDistancesInto(src int, dist, queue []int) []int {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -58,7 +59,7 @@ func (g *Graph) Diameter() int {
 	diam := 0
 	dist, queue := make([]int, g.N()), make([]int, 0, g.N())
 	for u := 0; u < g.N(); u++ {
-		for _, d := range g.bfs(u, dist, queue) {
+		for _, d := range g.BFSDistancesInto(u, dist, queue) {
 			if d > diam {
 				diam = d
 			}

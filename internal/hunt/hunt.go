@@ -24,7 +24,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
@@ -48,7 +47,6 @@ type Config struct {
 	Seed        uint64 // the hunter's own draw stream
 
 	Parallelism int // runner worker-pool size (0 = GOMAXPROCS)
-	BatchWidth  int // lockstep batch width (0 = scalar path)
 }
 
 // Candidate is one evaluated seed.
@@ -85,9 +83,9 @@ func Worse(a, b Candidate) bool {
 }
 
 // Run executes the hunt. Every candidate evaluation routes through the
-// shared parallel runner (batched when cfg.BatchWidth > 0) with pooled
-// per-worker state; results are collected in submission order, so the
-// hunt is bit-identical at every Parallelism and BatchWidth setting.
+// shared parallel runner with pooled per-worker state; results are
+// collected in submission order, so the hunt is bit-identical at every
+// Parallelism setting.
 func Run(cfg Config) (Result, error) {
 	if cfg.G == nil {
 		return Result{}, fmt.Errorf("hunt: no instance graph")
@@ -218,49 +216,17 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 					// Churn is part of the searched schedule: each candidate
 					// draws its own overlay stream (unlike a sweep, where one
 					// overlay is shared per instance), so overlays here are
-					// per-run and the scalar path evaluates them.
+					// per-run.
 					if err := w.SetOverlay(graph.NewOverlay(sc.G, cfg.Churn, scSeed^gather.ChurnSeedSalt)); err != nil {
 						return nil, 0, err
 					}
 				}
 				return w, cap, nil
 			}}
-		if cfg.Churn == 0 {
-			// Placement, activation and fault schedules are all per-lane
-			// state, so candidates batch; per-candidate overlays would
-			// force one-lane batches, hence the scalar fallback above.
-			jobs[i].Lane = func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := candidateScenario(cfg, scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(cfg.Algo, cfg.Radius)
-				if err != nil {
-					return err
-				}
-				if cfg.MaxRounds > 0 {
-					cap = cfg.MaxRounds
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), cfg.Algo, cfg.Radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				return fault.ApplyLane(e, lane, sc.IDs, cfg.Faults.Plan(cfg.K, cap, scSeed^gather.FaultSeedSalt))
-			}
-		}
 	}
 
-	r := runner.New(cfg.Parallelism).WithWorkerState(func(int) any { return gather.NewSweepState() })
-	var results []runner.JobResult
-	if cfg.BatchWidth > 0 {
-		results, _ = r.RunBatched(cfg.Seed, jobs, cfg.BatchWidth)
-	} else {
-		results, _ = r.Run(cfg.Seed, jobs)
-	}
+	r := runner.New(cfg.Parallelism).WithWorkerState(func(int) any { return gather.NewArena() })
+	results, _ := r.Run(cfg.Seed, jobs)
 	for _, jr := range results {
 		s := jr.Meta.(uint64)
 		if jr.Err != nil {

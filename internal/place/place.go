@@ -57,9 +57,13 @@ func MaxMinDispersed(g *graph.Graph, k int, rng *graph.RNG) []int {
 		return nil
 	}
 	// One BFS per chosen point (k total) — never the O(n²) all-pairs
-	// matrix, which is infeasible on the million-node scale workloads.
-	pos := []int{rng.Intn(n)}
-	minDist := g.BFSDistances(pos[0]) // distance to the closest chosen node
+	// matrix, which is infeasible on the million-node scale workloads —
+	// and every pass after the first reuses one distance and queue buffer.
+	pos := make([]int, 1, k)
+	pos[0] = rng.Intn(n)
+	queue := make([]int, 0, n)
+	minDist := g.BFSDistancesInto(pos[0], make([]int, n), queue) // distance to the closest chosen node
+	dist := make([]int, n)
 	for len(pos) < k {
 		best, bestD := -1, -1
 		for v := 0; v < n; v++ {
@@ -68,7 +72,7 @@ func MaxMinDispersed(g *graph.Graph, k int, rng *graph.RNG) []int {
 			}
 		}
 		pos = append(pos, best)
-		for v, d := range g.BFSDistances(best) {
+		for v, d := range g.BFSDistancesInto(best, dist, queue) {
 			if d < minDist[v] {
 				minDist[v] = d
 			}

@@ -149,3 +149,19 @@ func TestPanicsOnInfeasible(t *testing.T) {
 		}()
 	}
 }
+
+// MaxMinDispersed runs one BFS per chosen point; the passes share their
+// buffers, so placing 32 robots costs the same four allocations as
+// placing 2 (positions, queue, closest-point distances, pass distances).
+func TestMaxMinDispersedReusesBFSBuffers(t *testing.T) {
+	g, err := graph.BuildWorkload("rreg:384,4", graph.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 32} {
+		rng := graph.NewRNG(7)
+		if allocs := testing.AllocsPerRun(10, func() { MaxMinDispersed(g, k, rng) }); allocs != 4 {
+			t.Errorf("k=%d: %v allocations per placement, want 4", k, allocs)
+		}
+	}
+}

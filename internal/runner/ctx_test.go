@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/gather"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 )
 
 // assertCanceled checks one retired result slot: index and seed intact,
@@ -82,61 +80,5 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	got, _ := New(2).RunCtx(context.Background(), 11, jobs)
 	if !reflect.DeepEqual(stripTiming(ref), stripTiming(got)) {
 		t.Fatal("RunCtx(Background) differs from Run on identical jobs")
-	}
-}
-
-// TestRunBatchedCtxPreCanceled is the pre-canceled drain on the lockstep
-// path: every group retires every job, width-aligned, no slot empty.
-func TestRunBatchedCtxPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	jobs := make([]Job, 7)
-	for i := range jobs {
-		jobs[i] = Job{Lane: func(uint64, any, *batch.Engine) error {
-			t.Error("canceled batch loaded a lane")
-			return nil
-		}}
-	}
-	results, st := New(2).RunBatchedCtx(ctx, 5, jobs, 3)
-	if st.Failed != len(jobs) {
-		t.Fatalf("stats %+v, want all %d failed", st, len(jobs))
-	}
-	for i, res := range results {
-		assertCanceled(t, res, 5, i)
-	}
-}
-
-// TestRunBatchedCtxGroupDrain cancels while the first lockstep group is
-// loading lanes: the started group must flush to completion — its lanes
-// retire exactly where they would have, leaving the pooled engine Reset —
-// while every group claimed afterwards retires canceled. This is the
-// contract that lets a canceled service request hand its worker's engine
-// to the next request safely.
-func TestRunBatchedCtxGroupDrain(t *testing.T) {
-	const width = 2
-	jobs := dualJobs(t, 6, "faster", "full")
-	ref, _ := New(1).Run(99, jobs)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	inner := jobs[0].Lane
-	jobs[0].Lane = func(seed uint64, state any, e *batch.Engine) error {
-		cancel() // caller disconnects while group 0 is loading
-		return inner(seed, state, e)
-	}
-	r := New(1).WithWorkerState(func(int) any { return gather.NewSweepState() })
-	results, _ := r.RunBatchedCtx(ctx, 99, jobs, width)
-
-	// Group 0 (jobs 0..1) completed with real, scalar-identical results.
-	for i := 0; i < width; i++ {
-		if results[i].Err != nil {
-			t.Fatalf("started group job %d: err %v, want completion", i, results[i].Err)
-		}
-		if !reflect.DeepEqual(stripTiming(results[i:i+1]), stripTiming(ref[i:i+1])) {
-			t.Errorf("started group job %d diverges from scalar reference", i)
-		}
-	}
-	// Every later group was retired canceled.
-	for i := width; i < len(jobs); i++ {
-		assertCanceled(t, results[i], 99, i)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 )
 
 // Job is one unit of work: Build constructs a simulator world and its
@@ -62,18 +61,6 @@ type Job struct {
 	// their own completion signal this way. Build always runs first on
 	// the same goroutine, so Stop may read state Build created.
 	Stop func(w *sim.World) bool
-	// Lane, when non-nil, makes the job batchable: under Runner.RunBatched
-	// the job loads its world as one lane of the executing worker's
-	// lockstep batch engine (batch.Engine.AddLane) instead of building a
-	// scalar world. The same determinism rules as BuildIn apply — seed and
-	// captured read-only data decide the result, worker state is an
-	// allocation pool — and the round cap and scheduler are passed to
-	// AddLane, so the lane runs exactly the rounds the scalar path would.
-	// Adding no lane and returning nil marks the job skipped, mirroring a
-	// nil world from Build. Jobs that need a Stop predicate must leave
-	// Lane nil (lanes stop on their cap or termination alone). Run ignores
-	// Lane; RunBatched falls back to the scalar path for jobs without it.
-	Lane func(seed uint64, state any, e *batch.Engine) error
 	Meta any // caller-owned context, echoed back on the JobResult
 }
 
@@ -94,6 +81,7 @@ type Stats struct {
 	Jobs    int
 	Skipped int
 	Failed  int
+	Workers int           // worker goroutines the batch ran on
 	Rounds  int64         // total simulated rounds across the batch
 	Moves   int64         // total edge traversals across the batch
 	Wall    time.Duration // batch wall time
@@ -200,7 +188,9 @@ func (r *Runner) RunCtx(ctx context.Context, base uint64, jobs []Job) ([]JobResu
 		}(w)
 	}
 	wg.Wait()
-	return results, collectStats(results, time.Since(start))
+	st := collectStats(results, time.Since(start))
+	st.Workers = workers
+	return results, st
 }
 
 // canceledResult retires a job that never ran because its batch's context
@@ -214,8 +204,7 @@ func canceledResult(base uint64, i int, j Job, cause error) JobResult {
 	}
 }
 
-// collectStats aggregates a finished batch's results (shared by Run and
-// RunBatched).
+// collectStats aggregates a finished batch's results.
 func collectStats(results []JobResult, wall time.Duration) Stats {
 	st := Stats{Jobs: len(results), Wall: wall}
 	for i := range results {

@@ -294,4 +294,44 @@ func TestWorkerDefaults(t *testing.T) {
 	if New(5).Workers() != 5 {
 		t.Error("explicit pool size not honored")
 	}
+	// A batch never starts more workers than it has jobs.
+	if _, st := New(5).Run(1, make([]Job, 3)); st.Workers != 3 {
+		t.Errorf("Stats.Workers = %d for 3 jobs on a 5-worker pool, want 3", st.Workers)
+	}
 }
+
+// A job whose agent panics mid-run is that job's error — one
+// deterministic line, the stack carried separately — and the jobs around
+// it on the same worker run untouched.
+func TestPanicContainedPerJob(t *testing.T) {
+	good := gatherJobs(1)[0]
+	g := graph.Path(4)
+	boom := Job{Build: func(uint64) (*sim.World, int, error) {
+		w, err := sim.NewWorld(g, []sim.Agent{&bomb{sim.NewBase(1)}}, []int{0})
+		return w, 10, err
+	}}
+	ref, _ := New(1).Run(5, []Job{good, good})
+	got, st := New(1).Run(5, []Job{good, boom, good})
+	if got[1].Err == nil || got[1].Err.Error() != "runner: job 1 panicked: kaboom" {
+		t.Errorf("panicked job error = %v, want \"runner: job 1 panicked: kaboom\"", got[1].Err)
+	}
+	if got[1].Stack == "" {
+		t.Error("panicked job lost its stack")
+	}
+	if got[0].Err != nil || !reflect.DeepEqual(got[0].Res, ref[0].Res) {
+		t.Error("job before the panic perturbed")
+	}
+	if got[2].Err != nil || !got[2].Res.DetectionCorrect {
+		t.Errorf("job after the panic on the same worker failed: %+v", got[2])
+	}
+	if st.Failed != 1 {
+		t.Errorf("stats %+v, want 1 failed", st)
+	}
+}
+
+// bomb panics during its first Decide.
+type bomb struct{ sim.Base }
+
+func (*bomb) Observe(*sim.Env)               {}
+func (*bomb) Compose(*sim.Env) []sim.Message { return nil }
+func (*bomb) Decide(*sim.Env) sim.Action     { panic("kaboom") }

@@ -17,10 +17,10 @@ import (
 
 // The conformance suite proves the service IS the CLI: every NDJSON body
 // the HTTP path produces is byte-identical to what `gathersim -ndjson`
-// writes for the same request, across batch widths, worker counts,
-// concurrent clients, and the cache hit/miss/coalesced paths. The
-// reference bytes come from ExecuteNDJSON at Parallel 1 on the scalar
-// path — the same function the CLI's -ndjson mode calls — so a drift
+// writes for the same request, across worker counts, concurrent clients,
+// and the cache hit/miss/coalesced paths. The reference bytes come from
+// ExecuteNDJSON at Parallel 1 — the same function the CLI's -ndjson mode
+// calls — so a drift
 // anywhere in the serving stack (canonicalization, caching, queueing,
 // header handling) diffs loudly here.
 
@@ -41,14 +41,14 @@ var conformanceRequests = []struct {
 
 // referenceBody computes the CLI-path bytes for a request: the exact call
 // chain gathersim -ndjson runs, at the most conservative execution shape
-// (one worker, scalar path).
+// (one worker).
 func referenceBody(t *testing.T, body string) []byte {
 	t.Helper()
 	req, err := serve.ParseSweepRequest([]byte(body))
 	if err != nil {
 		t.Fatalf("reference request %s: %v", body, err)
 	}
-	out, err := serve.ExecuteNDJSON(context.Background(), req, serve.ExecConfig{Parallel: 1, Batch: 0})
+	out, err := serve.ExecuteNDJSON(context.Background(), req, serve.ExecConfig{Parallel: 1})
 	if err != nil {
 		t.Fatalf("reference execution %s: %v", body, err)
 	}
@@ -95,7 +95,7 @@ type serveMetrics struct {
 	} `json:"requests"`
 }
 
-// TestServeConformance is the tentpole gate: for every batch width and
+// TestServeConformance is the tentpole gate: for every worker count and
 // client count in the matrix, every response body — first contact (miss),
 // concurrent duplicates (coalesced) and replays (hit) — is byte-identical
 // to the CLI reference.
@@ -104,11 +104,11 @@ func TestServeConformance(t *testing.T) {
 	for _, cr := range conformanceRequests {
 		refs[cr.name] = referenceBody(t, cr.body)
 	}
-	for _, width := range []int{1, 8} {
+	for _, workers := range []int{1, 4} {
 		for _, clients := range []int{1, 4} {
-			t.Run(fmt.Sprintf("batch%d_clients%d", width, clients), func(t *testing.T) {
+			t.Run(fmt.Sprintf("workers%d_clients%d", workers, clients), func(t *testing.T) {
 				srv := httptest.NewServer(serve.NewServer(serve.Config{
-					Parallel: 4, Batch: width, QueueDepth: 2, CacheEntries: 8,
+					Parallel: workers, QueueDepth: 2, CacheEntries: 8,
 				}))
 				defer srv.Close()
 

@@ -10,19 +10,30 @@ import (
 	"repro/internal/graph"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 	"repro/internal/sim/fault"
 )
 
-// ExecConfig sets the execution resources for one sweep. Both knobs are
+// ExecConfig sets the execution resources for one sweep. Parallel is
 // output-invariant: the runner's determinism contract (per-job seeds from
-// submission index, lockstep batching proven bit-transparent) means
-// response bytes are identical at every Parallel and Batch setting — the
-// existing CLI determinism gates, replayed through the service path by
-// the conformance suite.
+// submission index) means response bytes are identical at every setting —
+// the CLI determinism gates, replayed through the service path by the
+// conformance suite.
 type ExecConfig struct {
 	Parallel int // worker-pool size; 0 selects GOMAXPROCS
-	Batch    int // lockstep batch width; 0 routes the scalar path
+}
+
+// seedsPerWorker is how many seeds a sweep hands each worker before it
+// takes another: a sweep runs on min(Parallel, ⌈seeds/seedsPerWorker⌉)
+// workers. A small sweep then holds one CPU and leaves the rest to the
+// requests the cache answers. On a 2-vCPU host, perfbench serve-mix
+// (8-seed misses among ~95% hits) had a p90 of 0.27–0.30 ms with the
+// rule and 0.72–0.84 ms without it, in 4 of 4 interleaved 15 s pairs.
+const seedsPerWorker = 8
+
+// sweepWorkers is the worker count of a sweep over seeds rows on a pool
+// of parallel workers (0 = GOMAXPROCS).
+func sweepWorkers(parallel, seeds int) int {
+	return min(runner.New(parallel).Workers(), (seeds+seedsPerWorker-1)/seedsPerWorker)
 }
 
 // Row shapes. Field order is the wire order (encoding/json preserves
@@ -39,7 +50,7 @@ type headerRow struct {
 	Diameter *int            `json:"diameter"`
 }
 
-// seedRow is one seed's outcome — the NDJSON form of the CLI batch
+// seedRow is one seed's outcome — the NDJSON form of the CLI sweep
 // table's seed/rounds/gather/detect/moves columns.
 type seedRow struct {
 	Seed   uint64 `json:"seed"`
@@ -58,7 +69,7 @@ type crashRow struct {
 	Crash string `json:"crash"`
 }
 
-// aggregateRow closes every response with the batch totals the CLI's
+// aggregateRow closes every response with the sweep totals the CLI's
 // aggregate line reports.
 type aggregateRow struct {
 	Aggregate bool  `json:"aggregate"`
@@ -69,48 +80,28 @@ type aggregateRow struct {
 	Moves     int64 `json:"moves"`
 }
 
-// ExecuteNDJSON runs the request's seed sweep and returns the complete
-// NDJSON response body: one header row, one row per seed in seed order,
-// one aggregate row. The sweep shape is exactly the gathersim -seeds
-// batch: ONE frozen graph built from the base seed and shared read-only
-// by every job; each job draws its own IDs, placement and scheduler from
-// its row seed on a pooled per-worker arena.
-// gathersim -ndjson calls this same function, which is what makes service
-// and CLI output byte-identical by construction — and the conformance
-// suite pins it by diff, not by trust.
+// Execute runs the request's seed sweep and returns the shared instance
+// graph, one result per seed in seed order, and the sweep's totals. The
+// sweep shape is ONE frozen graph built from the base seed and shared
+// read-only by every job; each job draws its own IDs, placement and
+// scheduler from its row seed on a pooled per-worker arena. Both
+// renderings of a sweep — ExecuteNDJSON's rows and gathersim's text
+// table — come from this one function.
 //
-// The body is materialized before it is returned: a response either
-// exists in full or not at all, so cached replays are byte-identical and
-// a client never sees a truncated stream. A canceled ctx aborts between
-// job groups (runner.RunBatchedCtx) and surfaces as ctx's error with no
-// partial body. Errors other than contained per-seed crashes — which
-// render as crash rows — fail the whole request, exactly like the CLI.
-func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]byte, error) {
+// A canceled ctx stops the sweep between jobs (runner.RunCtx) and
+// surfaces as ctx's error with no results. Errors other than contained
+// per-seed crashes (a panic, recognizable by its captured stack) fail the
+// whole sweep: they are configuration or engine failures.
+func Execute(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*graph.Graph, []runner.JobResult, runner.Stats, error) {
 	g, err := req.wl.Build(graph.NewRNG(req.Seed))
 	if err != nil {
-		return nil, err
-	}
-
-	// buildJobScenario derives one row's scenario identically on the
-	// scalar and lockstep paths: IDs, placement and scheduler all from
-	// the row seed, the frozen graph shared.
-	buildJobScenario := func(scSeed uint64) (*gather.Scenario, error) {
-		rng := graph.NewRNG(scSeed)
-		pos, err := PlaceRobots(g, req.Placement, req.K, rng)
-		if err != nil {
-			return nil, err
-		}
-		sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos}
-		if sc.Sched, err = BuildSched(req.Sched, scSeed); err != nil {
-			return nil, err
-		}
-		return sc, nil
+		return nil, nil, runner.Stats{}, err
 	}
 
 	// overlayFor fetches the request's churn overlay from the worker's
 	// pool (fresh when the runner carries no pool). Churn is per-instance:
-	// one seed for the whole request, so every row — and every lane of a
-	// batch — sees the same edge weather.
+	// one seed for the whole request, so every row sees the same edge
+	// weather.
 	overlayFor := func(state any) *graph.Overlay {
 		seed := req.Seed ^ gather.ChurnSeedSalt
 		if p := gather.OverlayPoolOf(state); p != nil {
@@ -124,8 +115,15 @@ func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]by
 		scSeed := req.Seed + uint64(i)
 		jobs[i] = runner.Job{Meta: scSeed,
 			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := buildJobScenario(scSeed)
+				// IDs, placement and scheduler all come from the row seed;
+				// the frozen graph is shared.
+				rng := graph.NewRNG(scSeed)
+				pos, err := PlaceRobots(g, req.Placement, req.K, rng)
 				if err != nil {
+					return nil, 0, err
+				}
+				sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos}
+				if sc.Sched, err = BuildSched(req.Sched, scSeed); err != nil {
 					return nil, 0, err
 				}
 				w, cap, err := BuildWorld(sc, req.Algo, req.Radius, gather.ArenaOf(state))
@@ -147,56 +145,43 @@ func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]by
 					}
 				}
 				return w, cap, nil
-			},
-			Lane: func(_ uint64, state any, e *batch.Engine) error {
-				sc, err := buildJobScenario(scSeed)
-				if err != nil {
-					return err
-				}
-				cap, err := sc.AlgoCap(req.Algo, req.Radius)
-				if err != nil {
-					return err
-				}
-				if req.MaxRounds > 0 {
-					cap = req.MaxRounds
-				}
-				if req.Churn > 0 {
-					// Bind before AddLane so the engine cross-checks the
-					// overlay's graph against the first lane's.
-					if err := e.SetOverlay(overlayFor(state)); err != nil {
-						return err
-					}
-				}
-				agents, err := sc.NewAgentsIn(gather.LaneArenaOf(state), e.Lanes(), req.Algo, req.Radius)
-				if err != nil {
-					return err
-				}
-				lane, err := e.AddLane(sc.G, agents, sc.Positions, cap, sc.Sched)
-				if err != nil {
-					return err
-				}
-				plan := req.fs.Plan(req.K, cap, scSeed^gather.FaultSeedSalt)
-				return fault.ApplyLane(e, lane, sc.IDs, plan)
 			}}
 	}
 
-	r := runner.New(cfg.Parallel).WithWorkerState(func(int) any { return gather.NewSweepState() })
-	var (
-		results []runner.JobResult
-		st      runner.Stats
-	)
-	if cfg.Batch > 0 {
-		results, st = r.RunBatchedCtx(ctx, req.Seed, jobs, cfg.Batch)
-	} else {
-		results, st = r.RunCtx(ctx, req.Seed, jobs)
-	}
+	r := runner.New(sweepWorkers(cfg.Parallel, req.Seeds)).
+		WithWorkerState(func(int) any { return gather.NewSweepState() })
+	results, st := r.RunCtx(ctx, req.Seed, jobs)
 	if err := ctx.Err(); err != nil {
+		return nil, nil, runner.Stats{}, err
+	}
+	for _, res := range results {
+		if res.Err != nil && res.Stack == "" {
+			return nil, nil, runner.Stats{}, fmt.Errorf("seed %d: %w", res.Meta.(uint64), res.Err)
+		}
+	}
+	return g, results, st, nil
+}
+
+// ExecuteNDJSON runs the request's seed sweep (Execute) and returns the
+// complete NDJSON response body: one header row, one row per seed in seed
+// order, one aggregate row. gathersim -ndjson calls this same function,
+// which is what makes service and CLI output byte-identical by
+// construction — and the conformance suite pins it by diff, not by trust.
+//
+// The body is materialized before it is returned: a response either
+// exists in full or not at all, so cached replays are byte-identical and
+// a client never sees a truncated stream. Contained per-seed crashes
+// render as crash rows; every other error fails the whole request,
+// exactly like the CLI.
+func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]byte, error) {
+	g, results, st, err := Execute(ctx, req, cfg)
+	if err != nil {
 		return nil, err
 	}
 	return renderNDJSON(req, g, results, st)
 }
 
-// renderNDJSON assembles the response body from a finished batch.
+// renderNDJSON assembles the response body from a finished sweep.
 func renderNDJSON(req *SweepRequest, g *graph.Graph, results []runner.JobResult, st runner.Stats) ([]byte, error) {
 	var buf bytes.Buffer
 	head := headerRow{Spec: req.Canonical(), Graph: g.String()}
@@ -210,12 +195,6 @@ func renderNDJSON(req *SweepRequest, g *graph.Graph, results []runner.JobResult,
 	for _, res := range results {
 		seed := res.Meta.(uint64)
 		if res.Err != nil {
-			// Only a contained panic (recognizable by its captured stack)
-			// is a per-seed outcome; any other error is a configuration or
-			// engine failure and fails the whole request, like the CLI.
-			if res.Stack == "" {
-				return nil, fmt.Errorf("seed %d: %w", seed, res.Err)
-			}
 			crashed++
 			if err := writeRow(&buf, crashRow{Seed: seed, Crash: res.Err.Error()}); err != nil {
 				return nil, err

@@ -79,10 +79,9 @@ func PlaceRobots(g *graph.Graph, placement string, k int, rng *graph.RNG) ([]int
 }
 
 // BuildWorld loads the scenario into a world for the requested algorithm
-// and returns it with the algorithm-derived round cap (gather.AlgoCap —
-// shared with the lockstep batch path, so both always run identical round
-// budgets). A non-nil arena pools the world and agents across calls
-// (sweep workers hand each job their pooled arena); nil builds fresh.
+// and returns it with the algorithm-derived round cap (gather.AlgoCap).
+// A non-nil arena pools the world and agents across calls (sweep workers
+// hand each job their pooled arena); nil builds fresh.
 func BuildWorld(sc *gather.Scenario, algo string, radius int, arena *gather.Arena) (*sim.World, int, error) {
 	cap, err := sc.AlgoCap(algo, radius)
 	if err != nil {

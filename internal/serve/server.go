@@ -27,7 +27,6 @@ var errBusy = errors.New("serve: execution queue full")
 // Config sizes one server.
 type Config struct {
 	Parallel     int // runner pool per execution; 0 selects GOMAXPROCS
-	Batch        int // lockstep batch width; 0 routes the scalar path
 	QueueDepth   int // concurrent executions admitted before 429
 	CacheEntries int // result-cache capacity (whole response bodies)
 }
@@ -125,7 +124,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer s.queue.Release()
 		t0 := execStart()
 		defer func() { s.execNanos.Add(execElapsed(t0)) }()
-		return ExecuteNDJSON(r.Context(), req, ExecConfig{Parallel: s.cfg.Parallel, Batch: s.cfg.Batch})
+		return ExecuteNDJSON(r.Context(), req, ExecConfig{Parallel: s.cfg.Parallel})
 	})
 	switch {
 	case errors.Is(err, errBusy):

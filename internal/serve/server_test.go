@@ -20,7 +20,7 @@ const fastSweep = `{"workload":"cycle:12","algo":"faster","k":4,"seeds":8}`
 // well-formed JSON error body, never a truncated or half-written stream —
 // and the rejection is counted.
 func TestServeBackpressure(t *testing.T) {
-	s := serve.NewServer(serve.Config{Parallel: 1, Batch: 0, QueueDepth: 1, CacheEntries: 4})
+	s := serve.NewServer(serve.Config{Parallel: 1, QueueDepth: 1, CacheEntries: 4})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -57,7 +57,7 @@ func TestServeBackpressure(t *testing.T) {
 // cached result is served even while the execution queue is saturated —
 // replays cost no execution slot.
 func TestServeCacheHitBypassesFullQueue(t *testing.T) {
-	s := serve.NewServer(serve.Config{Parallel: 1, Batch: 4, QueueDepth: 1, CacheEntries: 4})
+	s := serve.NewServer(serve.Config{Parallel: 1, QueueDepth: 1, CacheEntries: 4})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

@@ -10,13 +10,12 @@ package sim
 // hide (crashing is the separate fault class for disappearance).
 //
 // Every lie is a pure function of (stream seed, round, slot) — never of
-// how many times, or in which engine, the corruption is computed — which
-// is what keeps Byzantine runs bit-identical between the scalar World and
-// the lockstep batch.Engine, across -parallel and -batch widths. Both
-// engines call these helpers at the same pipeline points: CorruptCard in
-// the snapshot sub-phase (after the engine stamps Done/Gathered, so the
-// robot lies about termination too), CorruptMessage per composed message
-// in the communication phase.
+// how many times the corruption is computed — which is what keeps
+// Byzantine runs bit-identical across -parallel settings and replayable
+// from a row seed. The engine calls these helpers at fixed pipeline
+// points: CorruptCard in the snapshot sub-phase (after the engine stamps
+// Done/Gathered, so the robot lies about termination too),
+// CorruptMessage per composed message in the communication phase.
 
 // splitmix64 is the SplitMix64 finalizer (same scrambler the runner's
 // JobSeed uses): bijective, so distinct (round, slot) inputs never

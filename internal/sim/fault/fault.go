@@ -1,7 +1,7 @@
 // Package fault is the seeded fault-injection layer: a small spec grammar
 // (the -faults flag and the sweep service's "faults" field), a
 // deterministic materializer turning a spec into a per-robot fault
-// schedule, and appliers installing that schedule on either engine.
+// schedule, and an applier installing that schedule on a world.
 //
 // The grammar generalizes the crash-only adversary of the paper into
 // three fault classes:
@@ -15,8 +15,8 @@
 // selection is a partial Fisher–Yates shuffle over the robot indices and
 // every round or stream-seed draw comes from one splitmix64 counter
 // stream, so the same inputs always fault the same robots at the same
-// rounds — in the scalar World and in a batch.Engine lane alike, which is
-// what keeps fault sweeps bit-identical across -parallel and -batch.
+// rounds, which is what keeps fault sweeps bit-identical across
+// -parallel.
 //
 // At most k-1 robots are faulted: gathering is vacuous with no correct
 // robot left, and capping the selection keeps every spec meaningful on
@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"repro/internal/sim"
-	"repro/internal/sim/batch"
 )
 
 // Kind enumerates the fault classes of the grammar.
@@ -260,8 +259,8 @@ func sortInts(s []int) {
 	}
 }
 
-// Apply installs the plan on a scalar world whose robots, in agent order,
-// have the given IDs.
+// Apply installs the plan on a world whose robots, in agent order, have
+// the given IDs.
 func Apply(w *sim.World, ids []int, p Plan) error {
 	for vi, r := range p.Robots {
 		id := ids[r]
@@ -277,30 +276,6 @@ func Apply(w *sim.World, ids []int, p Plan) error {
 			}
 		case Byzantine:
 			if err := w.SetByzantine(id, p.Seeds[vi]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ApplyLane installs the plan on one lane of a batch engine — the exact
-// mirror of Apply, so a lane faults identically to its scalar twin.
-func ApplyLane(e *batch.Engine, lane int, ids []int, p Plan) error {
-	for vi, r := range p.Robots {
-		id := ids[r]
-		switch p.Spec.Kind {
-		case Crash, Recover:
-			if err := e.CrashAt(lane, id, p.CrashAt[vi]); err != nil {
-				return err
-			}
-			if p.Spec.Kind == Recover {
-				if err := e.RecoverAt(lane, id, p.Revive[vi]); err != nil {
-					return err
-				}
-			}
-		case Byzantine:
-			if err := e.SetByzantine(lane, id, p.Seeds[vi]); err != nil {
 				return err
 			}
 		}

@@ -23,7 +23,7 @@ import (
 // A Scheduler instance is owned by one run: implementations may carry
 // per-run state (RNG streams, per-robot lag counters), so parallel sweeps
 // must construct a fresh scheduler inside each job's Build, never share
-// one across worlds (or across the lanes of a batch engine).
+// one across worlds.
 type Scheduler interface {
 	// Activate sets active[i] = true for every agent index the scheduler
 	// activates this round. The engine hands active in with every entry
@@ -34,9 +34,7 @@ type Scheduler interface {
 }
 
 // SchedView is the read-only slice of one world a Scheduler consults when
-// deciding activations. Both the scalar *World and each lane of the
-// lockstep batch engine implement it, so one scheduler definition drives
-// both execution paths and their activation decisions stay bit-identical.
+// deciding activations; *World implements it.
 //
 // Groups enumerates the world's occupied nodes in ascending node order;
 // Group returns one node and the agent indices of the robots on it in
@@ -129,8 +127,7 @@ func NewAdversarial(maxLag int) *Adversarial {
 }
 
 // Activate implements Scheduler. It reads the world purely through the
-// SchedView group enumeration, so the same adversary drives scalar worlds
-// and batch lanes identically.
+// SchedView group enumeration.
 func (a *Adversarial) Activate(v SchedView, active []bool) {
 	if a.frozenFor == nil {
 		a.frozenFor = make([]int, len(active))

@@ -10,9 +10,8 @@ addr=127.0.0.1:8787
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-go test -race ./internal/serve/...
 go run ./cmd/gathersim -workload cycle:12 -k 7 -algo dessmark \
-	-sched semi:0.5 -seeds 16 -batch 8 -ndjson > "$tmp/cli.ndjson"
+	-sched semi:0.5 -seeds 16 -ndjson > "$tmp/cli.ndjson"
 go build -o "$tmp/sweepd" ./cmd/sweepd
 
 if curl -sf "http://$addr/healthz" > /dev/null 2>&1; then
