@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same commands (.github/workflows/ci.yml).
 
-.PHONY: all build test race lint bench-smoke bench-ledger sweepd-gate perfbench
+.PHONY: all build test race lint examples bench-smoke bench-ledger sweepd-gate perfbench
 
 all: build lint test
 
@@ -19,6 +19,12 @@ race:
 # lint entry point.
 lint:
 	go run ./cmd/repolint ./...
+
+# Run every example to completion; each must exit 0. `go build` compiles
+# them but runs none, and they pick algorithms by name, so a misspelt name
+# compiles and fails only here.
+examples:
+	@for d in examples/*/; do echo "== $$d"; go run "./$$d" > /dev/null || exit 1; done
 
 # The allocation gates CI enforces, runnable locally; failures echo the
 # offending benchmark line (scripts/benchgate.awk).

@@ -73,15 +73,14 @@ func BenchmarkRunnerSerialVsParallel(b *testing.B) {
 		for _, fam := range fams {
 			for _, n := range sizes {
 				fam, n := fam, n
-				jobs = append(jobs, runner.Job{Build: func(seed uint64) (*sim.World, int, error) {
+				jobs = append(jobs, runner.Job{Build: func(seed uint64, _ *gather.Arena) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g := graph.FromFamily(fam, n, rng)
 					k := max(2, g.N()/2)
 					sc := &gather.Scenario{G: g,
 						IDs:       gather.AssignIDs(k, g.N(), rng),
 						Positions: place.Clustered(g, k, max(1, k/2), rng)}
-					w, err := sc.NewUndispersedWorld()
-					return w, gather.R(g.N()) + 2, err
+					return sc.World(nil, "undispersed", 0)
 				}})
 			}
 		}
@@ -117,7 +116,7 @@ func BenchmarkSimStep(b *testing.B) {
 				IDs:       gather.AssignIDs(k, g.N(), rng),
 				Positions: place.Random(g, k, rng),
 			}
-			w, err := sc.NewFasterWorld()
+			w, _, err := sc.World(nil, "faster", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -151,6 +150,22 @@ func (a *wanderer) Reset(id int) {
 	a.step = 0
 }
 
+// settleRuntime runs just before a zero-allocation benchmark starts its
+// timer. allocs/op counts every allocation in the process, the runtime's
+// own included: a collection still running when the timer starts, and
+// the stop-the-world under which the timer reads the memory statistics,
+// can each start a new OS thread, whose six allocations (5.5 KB) would
+// count as the benchmark's. The collection here ends before the timer
+// starts, and the timed loop allocates nothing, so no other one begins;
+// the two reads pay for any thread a restart of the world needs, which
+// is then idle, and reused, when the timer reads.
+func settleRuntime() {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.ReadMemStats(&ms)
+}
+
 // BenchmarkStepHotLoop measures the steady-state cost of one engine round
 // on a many-robot world and reports allocs/op: the engine's contract is
 // zero allocations per Step once the scratch state is warm.
@@ -178,6 +193,7 @@ func BenchmarkStepHotLoop(b *testing.B) {
 			for i := 0; i < 2048; i++ {
 				w.Step()
 			}
+			settleRuntime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -225,6 +241,7 @@ func BenchmarkOverlayChurnStep(b *testing.B) {
 			for i := 0; i < 2048; i++ {
 				w.Step()
 			}
+			settleRuntime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -295,7 +312,7 @@ func BenchmarkUndispersedGathering(b *testing.B) {
 					IDs:       gather.AssignIDs(4, g.N(), rng),
 					Positions: place.Clustered(g, 4, 2, rng),
 				}
-				res, err := sc.RunUndispersed(gather.R(g.N()) + 2)
+				res, err := sc.Run("undispersed", 0, gather.R(g.N())+2)
 				if err != nil || !res.DetectionCorrect {
 					b.Fatalf("failed: %v %+v", err, res)
 				}
@@ -320,7 +337,7 @@ func BenchmarkFasterGatheringManyRobots(b *testing.B) {
 			IDs:       gather.AssignIDs(k, n, rng),
 			Positions: place.MaxMinDispersed(g, k, rng),
 		}
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
 		if err != nil || !res.DetectionCorrect {
 			b.Fatalf("failed: %v %+v", err, res)
 		}
@@ -345,7 +362,7 @@ func BenchmarkDFSEnumDepth3(b *testing.B) {
 	dur := sc.Cfg.HopDuration(3, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sc.RunHopMeet(3, dur+1)
+		res, err := sc.Run("hopmeet", 3, dur+1)
 		if err != nil || !res.AllTerminated {
 			b.Fatal("hop meet failed")
 		}
@@ -403,7 +420,7 @@ func BenchmarkBeepGathering(b *testing.B) {
 	sc := &gather.Scenario{G: g, IDs: []int{5, 12}, Positions: []int{0, 3}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil || !res.DetectionCorrect {
 			b.Fatalf("beep run failed: %v %+v", err, res)
 		}
@@ -463,15 +480,23 @@ func BenchmarkWorldReset(b *testing.B) {
 			// Warm every high-water mark, then measure reset+step cycles:
 			// the Step keeps the world dirty so each Reset does real work,
 			// and resetting the agents too makes every iteration replay the
-			// same (pre-warmed) round-zero trajectory.
+			// same (pre-warmed) round-zero trajectory. The Resettable
+			// views are taken before the timer: the runtime builds a
+			// 48-byte cache for an interface-to-interface assertion site
+			// on about one call in 1024, and allocs/op would count it.
 			for i := 0; i < 1024; i++ {
 				w.Step()
 			}
+			resettable := make([]sim.Resettable, k)
+			for i, a := range agents {
+				resettable[i] = a.(sim.Resettable)
+			}
+			settleRuntime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, a := range agents {
-					a.(sim.Resettable).Reset(a.ID())
+				for _, a := range resettable {
+					a.Reset(a.ID())
 				}
 				if err := w.Reset(agents, pos); err != nil {
 					b.Fatal(err)
@@ -486,11 +511,11 @@ func BenchmarkWorldReset(b *testing.B) {
 // layer: the identical 64-job batch (k-robot UXS gathering on one shared
 // frozen graph, 8 rounds each — the UXS agents' rounds are themselves
 // allocation-free, so the measurement isolates per-job SETUP cost) run
-// with a fresh World + agent set per job ("rebuild", the PR 3 state of
-// the art) versus per-worker pooled arenas ("pooled", every job after a
-// worker's first reusing its world and agents via Reset). allocs/op is
-// per batch; results are bit-identical between the arms. CI gates the
-// >= 5x per-job allocation win.
+// with a fresh World + agent set per job ("rebuild": World(nil, …))
+// versus the per-worker arenas ("pooled", every job after a worker's
+// first reusing its world and agents via Reset). allocs/op is per batch;
+// results are bit-identical between the arms. CI gates the >= 5x per-job
+// allocation win.
 func BenchmarkSweepPooledWorld(b *testing.B) {
 	const (
 		jobs     = 64
@@ -504,36 +529,36 @@ func BenchmarkSweepPooledWorld(b *testing.B) {
 		b.Fatal(err)
 	}
 	shared := &gather.Scenario{G: g}
-	buildJobs := func() []runner.Job {
+	buildJobs := func(pooled bool) []runner.Job {
 		out := make([]runner.Job, jobs)
 		for i := range out {
-			out[i] = runner.Job{BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			out[i] = runner.Job{Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				job := *shared
 				job.IDs = gather.AssignIDs(k, job.G.N(), rng)
 				job.Positions = place.Clustered(job.G, k, k/2, rng)
-				w, err := job.NewUXSWorldIn(gather.ArenaOf(state))
+				if !pooled {
+					a = nil // build fresh
+				}
+				w, _, err := job.World(a, "uxs", 0)
 				return w, rounds, err
 			}}
 		}
 		return out
 	}
-	run := func(b *testing.B, r *runner.Runner) {
+	run := func(b *testing.B, pooled bool) {
+		r := runner.New(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			results, _ := r.Run(baseSeed, buildJobs())
+			results, _ := r.Run(baseSeed, buildJobs(pooled))
 			if err := runner.FirstErr(results); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	// rebuild: no worker state, so ArenaOf(nil) = nil and every job
-	// constructs a fresh world + agents.
-	b.Run("rebuild", func(b *testing.B) { run(b, runner.New(0)) })
-	b.Run("pooled", func(b *testing.B) {
-		run(b, runner.New(0).WithWorkerState(func(int) any { return gather.NewArena() }))
-	})
+	b.Run("rebuild", func(b *testing.B) { run(b, false) })
+	b.Run("pooled", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkSweepSharedGraph pins the payoff of shared-graph sweeps: the
@@ -553,7 +578,7 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 	buildJobs := func(shared *gather.Scenario) []runner.Job {
 		out := make([]runner.Job, jobs)
 		for i := range out {
-			out[i] = runner.Job{Build: func(seed uint64) (*sim.World, int, error) {
+			out[i] = runner.Job{Build: func(seed uint64, _ *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				sc := shared
 				if sc == nil { // rebuild arm: graph per job
@@ -566,7 +591,7 @@ func BenchmarkSweepSharedGraph(b *testing.B) {
 				job := *sc
 				job.IDs = gather.AssignIDs(k, job.G.N(), rng)
 				job.Positions = place.Clustered(job.G, k, k/2, rng)
-				w, err := job.NewUndispersedWorld()
+				w, _, err := job.World(nil, "undispersed", 0)
 				return w, rounds, err
 			}}
 		}

@@ -193,8 +193,9 @@ func printCatalog() {
 }
 
 // The scenario-building core — placement engines, scheduler derivation,
-// world construction, the diameter size bound — lives in internal/serve,
-// shared verbatim with the sweepd service so the two paths cannot drift.
+// the diameter size bound — lives in internal/serve, shared verbatim with
+// the sweepd service so the two paths cannot drift; worlds and their
+// round caps come from gather.Scenario.World on both paths.
 
 // diameterLabel formats the graph's diameter, or "n/a" when the instance
 // is too large for the all-pairs BFS.
@@ -262,7 +263,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 		fmt.Printf("scenario graph written to %s\n", dotFile)
 	}
 
-	w, cap, err := serve.BuildWorld(sc, algo, radius, nil)
+	w, cap, err := sc.World(nil, algo, radius)
 	if err != nil {
 		return err
 	}

@@ -25,11 +25,10 @@ func main() {
 	pos := []int{0, 0, 3} // group {3,9} plus a lone robot
 
 	base := &gather.Scenario{G: g, IDs: ids, Positions: pos}
-	cap := base.Cfg.UXSGatherBound(g.N()) + 2
 
 	run := func(title string, prep func(w *sim.World)) {
 		sc := &gather.Scenario{G: g, IDs: ids, Positions: pos, Cfg: base.Cfg}
-		w, err := sc.NewUXSWorld()
+		w, cap, err := sc.World(nil, "uxs", 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,7 +60,7 @@ func main() {
 	// configuration experiment E16 measures).
 	T := base.Cfg.UXSLength(g.N())
 	sc := &gather.Scenario{G: g, IDs: []int{6, 9}, Positions: []int{0, 3}, Cfg: base.Cfg}
-	w, err := sc.NewUXSWorldDelayed([]int{12 * T, 0})
+	w, cap, err := sc.DelayedWorld("uxs", []int{12 * T, 0})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,14 +34,14 @@ func main() {
 	fmt.Printf("robots %v start at rooms %v (closest pair %d corridors apart)\n\n",
 		sc.IDs, sc.Positions, sc.MinPairDistance())
 
-	w, err := sc.NewFasterWorld()
+	w, cap, err := sc.World(nil, "faster", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	occ := &gathering.OccupancyTracer{}
 	w.SetTracer(occ)
 
-	res := w.Run(sc.Cfg.FasterBound(n) + 10)
+	res := w.Run(cap)
 
 	// Print the occupancy milestones: the rounds where the number of
 	// distinct occupied rooms dropped.

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("graph: %v, robots at %v (min pairwise distance %d)\n",
 		g, sc.Positions, sc.MinPairDistance())
 
-	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+	res, err := sc.Run("faster", 0, 0) // 0 rounds: Faster-Gathering's own cap
 	if err != nil {
 		log.Fatal(err)
 	}

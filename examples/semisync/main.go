@@ -35,15 +35,16 @@ func build() *gathering.Scenario {
 	}
 }
 
-// safeRun builds a world via mk and runs it with panic containment
-// (World.SafeRun): outside the synchronous model an algorithm crashing
-// is an outcome to report, not a reason to die.
-func safeRun(mk func() (*gathering.World, error), cap int) (gathering.Result, error) {
-	w, err := mk()
+// safeRun runs the named algorithm for scale times its synchronous round
+// cap, with panic containment (World.SafeRun): outside the synchronous
+// model an algorithm crashing is an outcome to report, not a reason to
+// die.
+func safeRun(sc *gathering.Scenario, algo string, scale int) (gathering.Result, error) {
+	w, cap, err := sc.World(nil, algo, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return w.SafeRun(cap)
+	return w.SafeRun(scale * cap)
 }
 
 func main() {
@@ -54,8 +55,7 @@ func main() {
 		if p < 1 {
 			sc.Sched = gathering.NewSemiSync(p, 1)
 		}
-		cap := 8 * (sc.Cfg.FasterBound(sc.G.N()) + 10)
-		res, err := safeRun(sc.NewDessmarkWorld, cap)
+		res, err := safeRun(sc, "dessmark", 8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,8 +73,7 @@ func main() {
 		if p < 1 {
 			sc.Sched = gathering.NewSemiSync(p, 1)
 		}
-		cap := 2 * (sc.Cfg.UXSGatherBound(sc.G.N()) + 2)
-		res, err := safeRun(sc.NewUXSWorld, cap)
+		res, err := safeRun(sc, "uxs", 2)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,7 +85,7 @@ func main() {
 	{
 		sc := build()
 		sc.Sched = gathering.NewSemiSync(0.75, 1)
-		_, err := safeRun(sc.NewFasterWorld, 2*(sc.Cfg.FasterBound(sc.G.N())+10))
+		_, err := safeRun(sc, "faster", 2)
 		if err != nil {
 			fmt.Printf("  p=0.75  CRASHED: %s\n", err)
 		} else {

@@ -32,7 +32,7 @@ func main() {
 			IDs:       gathering.AssignIDs(k, n, rng),
 			Positions: pos,
 		}
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+		res, err := sc.Run("faster", 0, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,12 +54,12 @@ func main() {
 	pos := gathering.MaxMinDispersed(g, k, rng)
 	ids := gathering.AssignIDs(k, n, rng)
 	sc := &gathering.Scenario{G: g, IDs: ids, Positions: pos}
-	fast, err := sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
+	fast, err := sc.Run("faster", 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	scU := &gathering.Scenario{G: g, IDs: ids, Positions: pos, Cfg: sc.Cfg}
-	uxs, err := scU.RunUXS(sc.Cfg.UXSGatherBound(n) + 2)
+	uxs, err := scU.Run("uxs", 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,9 +17,14 @@
 //		IDs:       gathering.AssignIDs(7, g.N(), rng),
 //		Positions: gathering.MaxMinDispersed(g, 7, rng),
 //	}
-//	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+//	res, err := sc.Run("faster", 0, 0) // 0 rounds = the algorithm's cap
 //	// res.DetectionCorrect reports gathering with detection.
 //	// Robots derive the exploration-sequence length T from n alone.
+//
+// Algorithms are picked by name — faster, uxs, undispersed, hopmeet
+// (with a radius), dessmark and beep — and each comes with the round cap
+// of its theorem: Scenario.World returns a world to step, trace or fault
+// together with that cap, and Scenario.Run runs one to completion.
 //
 // Graphs are immutable once frozen (Builder.Freeze, or any generator or
 // workload build): one *Graph may back any number of concurrent scenarios
@@ -69,8 +74,9 @@ type (
 	// restores constructor state so arenas can reuse agents across runs.
 	Resettable = sim.Resettable
 	// Arena is a worker-owned pool of simulation state (one long-lived
-	// world + agent set) for zero-rebuild sweeps; see Scenario's
-	// New*WorldIn constructors and Runner.WithWorkerState.
+	// world + agent set, one churn overlay) for zero-rebuild sweeps: every
+	// Runner worker owns one and hands it to Job.Build, which passes it to
+	// Scenario.World. A nil *Arena builds fresh.
 	Arena = gather.Arena
 	// Mode selects scaled or paper-faithful UXS lengths.
 	Mode = uxs.Mode
@@ -100,8 +106,9 @@ type (
 	// of independent worlds run on a bounded worker pool with results in
 	// submission order, bit-identical at any worker count.
 	Runner = runner.Runner
-	// Job is one unit of parallel work: a world builder (fed a
-	// deterministic per-job seed) plus the round cap.
+	// Job is one unit of parallel work: a world builder, fed a
+	// deterministic per-job seed and the worker's Arena, that returns the
+	// world and its round cap.
 	Job = runner.Job
 	// JobResult pairs a job's outcome with its submission index and seed.
 	JobResult = runner.JobResult
@@ -218,18 +225,14 @@ var (
 // Parallel sweep engine.
 var (
 	// NewRunner returns a runner with the given worker count; 0 selects
-	// GOMAXPROCS, 1 is the serial reference executor. Chain
-	// WithWorkerState(func(int) any { return gathering.NewArena() }) to
-	// give every worker a pooled simulation arena for Job.BuildIn.
+	// GOMAXPROCS, 1 is the serial reference executor. Every worker owns a
+	// pooled simulation Arena that it hands to each Job.Build.
 	NewRunner = runner.New
 	// JobSeed derives the deterministic seed of the i-th job of a batch,
 	// for reproducing a single sweep point in isolation.
 	JobSeed = runner.JobSeed
 	// NewArena returns an empty pooled-simulation arena.
 	NewArena = gather.NewArena
-	// ArenaOf coerces a runner worker-state value into an arena (nil =
-	// build fresh), for use inside Job.BuildIn callbacks.
-	ArenaOf = gather.ArenaOf
 )
 
 // Activation schedulers (Scenario.Sched / World.SetScheduler).

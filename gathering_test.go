@@ -15,7 +15,7 @@ func TestQuickstartFlow(t *testing.T) {
 		IDs:       AssignIDs(k, g.N(), rng),
 		Positions: MaxMinDispersed(g, k, rng),
 	}
-	res, err := sc.RunFaster(sc.Cfg.FasterBound(g.N()) + 10)
+	res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(g.N())+10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,13 @@ func TestFacadeRunner(t *testing.T) {
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		n := 8 + i
-		jobs[i] = Job{Meta: n, Build: func(seed uint64) (*World, int, error) {
+		jobs[i] = Job{Meta: n, Build: func(seed uint64, a *Arena) (*World, int, error) {
 			rng := NewRNG(seed)
 			g := Cycle(n)
 			g = g.WithPermutedPorts(rng)
 			k := n/2 + 1
 			sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: MaxMinDispersed(g, k, rng)}
-			w, err := sc.NewFasterWorld()
-			return w, sc.Cfg.FasterBound(n) + 10, err
+			return sc.World(a, "faster", 0)
 		}}
 	}
 	serial, _ := NewRunner(1).Run(9, jobs)

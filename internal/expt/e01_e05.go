@@ -79,7 +79,7 @@ func runE1(w io.Writer, o Options) error {
 			wl := graph.MustWorkload(fmt.Sprintf("%s:%d", fam, n))
 			m := &e1meta{fam: fam}
 			jobs = append(jobs, runner.Job{Meta: m,
-				Build: func(seed uint64) (*sim.World, int, error) {
+				Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g, err := wl.Build(rng)
 					if err != nil {
@@ -90,8 +90,7 @@ func runE1(w io.Writer, o Options) error {
 					sc := &gather.Scenario{G: g,
 						IDs:       gather.AssignIDs(k, g.N(), rng),
 						Positions: place.Clustered(g, k, max(1, k/2), rng)}
-					world, err := sc.NewUndispersedWorld()
-					return world, gather.R(g.N()) + 2, err
+					return sc.World(a, "undispersed", 0)
 				}})
 		}
 	}
@@ -140,7 +139,7 @@ func runE2(w io.Writer, o Options) error {
 			i, n := i, n
 			m := &e2meta{i: i, n: n}
 			jobs = append(jobs, runner.Job{Meta: m,
-				Build: func(seed uint64) (*sim.World, int, error) {
+				Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g := graph.Cycle(n).WithPermutedPorts(rng)
 					u, v, ok := place.PairAtDistance(g, i, rng)
@@ -149,7 +148,7 @@ func runE2(w io.Writer, o Options) error {
 					}
 					m.found = true
 					sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}}
-					world, err := sc.NewHopMeetWorld(i)
+					world, _, err := sc.World(a, "hopmeet", i)
 					return world, sc.Cfg.HopDuration(i, n) + 1, err
 				}})
 		}
@@ -207,7 +206,7 @@ func runE3(w io.Writer, o Options) error {
 		n := n
 		m := &e3meta{}
 		jobs = append(jobs, runner.Job{Meta: m,
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.FromFamily(graph.FamRandom, n, rng)
 				// Fixed equal-length IDs keep the number of 2T phases
@@ -221,8 +220,7 @@ func runE3(w io.Writer, o Options) error {
 				}
 				m.n, m.maxID = g.N(), 3
 				m.bound = sc.Cfg.UXSGatherBound(g.N())
-				world, err := sc.NewUXSWorld()
-				return world, m.bound + 2, err
+				return sc.World(a, "uxs", 0)
 			}})
 	}
 	// L sweep at fixed n: small vs large IDs change the number of phases.
@@ -238,13 +236,12 @@ func runE3(w io.Writer, o Options) error {
 		idPair := idPair
 		m := &e3meta{idSweep: true}
 		jobs = append(jobs, runner.Job{Meta: m,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				sc := &gather.Scenario{G: gID, IDs: []int{idPair[0], idPair[1]},
 					Positions: place.MaxMinDispersed(gID, 2, graph.NewRNG(seed))}
 				m.n, m.maxID = nID, idPair[1]
 				m.bound = sc.Cfg.UXSGatherBound(nID)
-				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
-				return world, m.bound + 2, err
+				return sc.World(a, "uxs", 0)
 			}})
 	}
 	results, err := sweep(o, o.Seed+3, jobs)
@@ -336,7 +333,7 @@ func runE4(w io.Writer, o Options) error {
 				rg, n := rg, n
 				m := &e4meta{n: n}
 				jobs = append(jobs, runner.Job{Meta: m,
-					Build: func(seed uint64) (*sim.World, int, error) {
+					Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 						rng := graph.NewRNG(seed)
 						g := graph.Cycle(n).WithPermutedPorts(rng)
 						k := rg.k(n)
@@ -350,8 +347,7 @@ func runE4(w io.Writer, o Options) error {
 						if m.d > rg.maxDist {
 							return nil, 0, fmt.Errorf("E4: %s n=%d: distance %d violates Lemma 15's %d", rg.name, n, m.d, rg.maxDist)
 						}
-						world, err := sc.NewFasterWorld()
-						return world, sc.Cfg.FasterBound(n) + 10, err
+						return sc.World(a, "faster", 0)
 					}})
 			}
 		}
@@ -436,7 +432,7 @@ func runE5(w io.Writer, o Options) error {
 				fam, c := fam, c
 				m := &e5meta{fam: fam, c: c}
 				jobs = append(jobs, runner.Job{Meta: m,
-					Build: func(seed uint64) (*sim.World, int, error) {
+					Build: func(seed uint64, _ *gather.Arena) (*sim.World, int, error) {
 						rng := graph.NewRNG(seed)
 						g, err := wl.Build(rng)
 						if err != nil {

@@ -85,7 +85,7 @@ func runE6(w io.Writer, o Options) error {
 		d := d
 		m := &e6meta{d: d}
 		jobs = append(jobs, runner.Job{Meta: m,
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.Path(n).WithPermutedPorts(rng)
 				u, v, ok := place.PairAtDistance(g, d, rng)
@@ -97,8 +97,7 @@ func runE6(w io.Writer, o Options) error {
 					return nil, 0, err
 				}
 				m.found = true
-				world, err := sc.NewFasterWorld()
-				return world, sc.Cfg.FasterBound(n) + 10, err
+				return sc.World(a, "faster", 0)
 			}})
 	}
 	results, err := sweep(o, o.Seed+6, jobs)
@@ -148,14 +147,13 @@ func runE7(w io.Writer, o Options) error {
 		k := k
 		m := &e7meta{k: k}
 		jobs = append(jobs, runner.Job{Meta: m,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
+			Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				jrng := graph.NewRNG(seed)
 				ids := gather.AssignIDs(k, n, jrng)
 				pos := place.MaxMinDispersed(g, k, jrng)
 				sc := &gather.Scenario{G: g, IDs: ids, Positions: pos}
 				m.minDist = place.MinPairwise(g, pos)
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
-				return world, sc.Cfg.FasterBound(n) + 10, err
+				return sc.World(a, "faster", 0)
 			}})
 	}
 	results, err := sweep(o, o.Seed+7, jobs)
@@ -213,15 +211,7 @@ func runE8(w io.Writer, o Options) error {
 		if err := checkCover(sc.G, sc.Cfg); err != nil {
 			return err
 		}
-		jobs = append(jobs,
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
-				return world, sc.Cfg.FasterBound(n) + 10, err
-			}},
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
-				return world, sc.Cfg.UXSGatherBound(n) + 2, err
-			}})
+		jobs = append(jobs, algoJob(sc, "faster", nil), algoJob(sc, "uxs", nil))
 	}
 	results, err := sweep(o, o.Seed+8, jobs)
 	if err != nil {
@@ -260,7 +250,7 @@ func runE9(w io.Writer, o Options) error {
 		m := &e9meta{}
 		jobs = append(jobs, runner.Job{Meta: m,
 			Stop: func(*sim.World) bool { return m.finder.B.Done() },
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, _ *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.FromFamily(graph.FamRandom, n, rng)
 				m.n, m.m = g.N(), g.M()
@@ -325,15 +315,7 @@ func runE10(w io.Writer, o Options) error {
 		if err := checkCover(sc.G, sc.Cfg); err != nil {
 			return err
 		}
-		jobs = append(jobs,
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
-				return world, sc.Cfg.FasterBound(n) + 10, err
-			}},
-			runner.Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldIn(gather.ArenaOf(state))
-				return world, sc.Cfg.UXSGatherBound(n) + 2, err
-			}})
+		jobs = append(jobs, algoJob(sc, "faster", nil), algoJob(sc, "uxs", nil))
 	}
 	results, err := sweep(o, o.Seed+10, jobs)
 	if err != nil {

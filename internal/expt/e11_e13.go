@@ -61,9 +61,7 @@ func runE11(w io.Writer, o Options) error {
 		sc, found := instance(d, runner.JobSeed(o.Seed+11, di))
 		mS, mO := &e11meta{d: d, found: found}, &e11meta{d: d, found: found}
 		if !found {
-			jobs = append(jobs,
-				runner.Job{Meta: mS, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-				runner.Job{Meta: mO, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+			jobs = append(jobs, runner.Job{Meta: mS, Build: skip}, runner.Job{Meta: mO, Build: skip})
 			continue
 		}
 		if err := checkCover(sc.G, sc.Cfg); err != nil {
@@ -71,15 +69,7 @@ func runE11(w io.Writer, o Options) error {
 		}
 		scO := *sc // shallow copy: same frozen graph, oracle config
 		scO.Cfg = gather.Config{KnownDistance: d}
-		jobs = append(jobs,
-			runner.Job{Meta: mS, Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorld()
-				return world, sc.Cfg.FasterBound(n) + 10, err
-			}},
-			runner.Job{Meta: mO, Build: func(uint64) (*sim.World, int, error) {
-				world, err := scO.NewFasterWorld()
-				return world, scO.Cfg.FasterBound(n) + 10, err
-			}})
+		jobs = append(jobs, algoJob(sc, "faster", mS), algoJob(&scO, "faster", mO))
 	}
 	results, err := sweep(o, o.Seed+11, jobs)
 	if err != nil {
@@ -120,7 +110,7 @@ func runE12(w io.Writer, o Options) error {
 			n, i := n, i
 			m := &e12meta{n: n, i: i}
 			jobs = append(jobs, runner.Job{Meta: m,
-				Build: func(seed uint64) (*sim.World, int, error) {
+				Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 					rng := graph.NewRNG(seed)
 					g := graph.Cycle(n).WithPermutedPorts(rng)
 					u, v, ok := place.PairAtDistance(g, i, rng)
@@ -130,7 +120,7 @@ func runE12(w io.Writer, o Options) error {
 					m.found = true
 					abl := gather.Config{KnownMaxDegree: 2}
 					sc := &gather.Scenario{G: g, IDs: []int{1, 2}, Positions: []int{u, v}, Cfg: abl}
-					world, err := sc.NewHopMeetWorld(i)
+					world, _, err := sc.World(a, "hopmeet", i)
 					return world, abl.HopDuration(i, n) + 1, err
 				}})
 		}
@@ -191,27 +181,22 @@ func runE13(w io.Writer, o Options) error {
 		sc, found := instance(d, runner.JobSeed(o.Seed+13, di))
 		mB, mF := &e13meta{d: d, found: found}, &e13meta{d: d, found: found}
 		if !found {
-			jobs = append(jobs,
-				runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-				runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+			jobs = append(jobs, runner.Job{Meta: mB, Build: skip}, runner.Job{Meta: mF, Build: skip})
 			continue
 		}
 		if err := checkCover(sc.G, sc.Cfg); err != nil {
 			return err
 		}
 		jobs = append(jobs,
-			runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {
+			runner.Job{Meta: mB, Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
 				capRounds := 0
 				for i := 1; i <= d+1; i++ {
 					capRounds += sc.Cfg.HopDuration(i, sc.G.N()) + 1
 				}
-				world, err := sc.NewDessmarkWorld()
+				world, _, err := sc.World(a, "dessmark", 0)
 				return world, capRounds + 10, err
 			}},
-			runner.Job{Meta: mF, Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorld()
-				return world, sc.Cfg.FasterBound(sc.G.N()) + 10, err
-			}})
+			algoJob(sc, "faster", mF))
 	}
 	results, err := sweep(o, o.Seed+13, jobs)
 	if err != nil {

@@ -75,15 +75,7 @@ func runE14(w io.Writer, o Options) error {
 		if err := checkCover(sc.G, sc.Cfg); err != nil {
 			return err
 		}
-		jobs = append(jobs,
-			runner.Job{Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewFasterWorld()
-				return world, sc.Cfg.FasterBound(n) + 10, err
-			}},
-			runner.Job{Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorld()
-				return world, sc.Cfg.UXSGatherBound(n) + 2, err
-			}})
+		jobs = append(jobs, algoJob(sc, "faster", nil), algoJob(sc, "uxs", nil))
 	}
 	results, err := sweep(o, o.Seed+14, jobs)
 	if err != nil {
@@ -140,8 +132,8 @@ func runE15(w io.Writer, o Options) error {
 	for _, c := range cases {
 		c := c
 		jobs = append(jobs, runner.Job{Meta: c,
-			Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorld()
+			Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+				world, cap, err := sc.World(a, "uxs", 0)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -151,7 +143,7 @@ func runE15(w io.Writer, o Options) error {
 						return nil, 0, err
 					}
 				}
-				return world, sc.Cfg.UXSGatherBound(n) + 2, nil
+				return world, cap, nil
 			}})
 	}
 	results, err := sweep(o, o.Seed+15, jobs)
@@ -202,8 +194,8 @@ func runE16(w io.Writer, o Options) error {
 		tau := tau
 		m := &e16meta{tau: tau, firstTerm: -1}
 		jobs = append(jobs, runner.Job{Meta: m,
-			Build: func(uint64) (*sim.World, int, error) {
-				world, err := sc.NewUXSWorldDelayed([]int{tau, 0})
+			Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
+				world, cap, err := sc.DelayedWorld("uxs", []int{tau, 0})
 				if err != nil {
 					return nil, 0, err
 				}
@@ -213,7 +205,7 @@ func runE16(w io.Writer, o Options) error {
 						m.gatheredThen = w2.AllColocated()
 					}
 				}))
-				return world, sc.Cfg.UXSGatherBound(n) + tau + 2, nil
+				return world, cap + tau, nil
 			}})
 	}
 	results, err := sweep(o, o.Seed+16, jobs)

@@ -42,7 +42,7 @@ func mapJob(g *graph.Graph, naive bool) runner.Job {
 	m := &mapMeta{}
 	return runner.Job{Meta: m,
 		Stop: func(*sim.World) bool { return m.done() },
-		Build: func(uint64) (*sim.World, int, error) {
+		Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
 			m.n, m.m = g.N(), g.M()
 			var (
 				agents []sim.Agent
@@ -147,23 +147,13 @@ func runE18(w io.Writer, o Options) error {
 			ci++
 			mB, mM := &e18meta{fam: fam, d: d, found: found}, &e18meta{fam: fam, d: d, found: found}
 			if !found {
-				jobs = append(jobs,
-					runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }},
-					runner.Job{Meta: mM, Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }})
+				jobs = append(jobs, runner.Job{Meta: mB, Build: skip}, runner.Job{Meta: mM, Build: skip})
 				continue
 			}
 			if err := checkCover(sc.G, sc.Cfg); err != nil {
 				return err
 			}
-			jobs = append(jobs,
-				runner.Job{Meta: mB, Build: func(uint64) (*sim.World, int, error) {
-					world, err := sc.NewBeepWorld()
-					return world, sc.Cfg.UXSGatherBound(sc.G.N()) + 2, err
-				}},
-				runner.Job{Meta: mM, Build: func(uint64) (*sim.World, int, error) {
-					world, err := sc.NewUXSWorld()
-					return world, sc.Cfg.UXSGatherBound(sc.G.N()) + 2, err
-				}})
+			jobs = append(jobs, algoJob(sc, "beep", mB), algoJob(sc, "uxs", mM))
 		}
 	}
 	results, err := sweep(o, o.Seed+18, jobs)

@@ -30,26 +30,8 @@ func init() {
 // fresh inside every job (schedulers are per-run stateful).
 var e19Scheds = []string{"full", "semi:0.75", "adv:3"}
 
-// e19Algos maps an algorithm name to its (arena-pooled) world builder and
-// round bound.
-var e19Algos = []struct {
-	name  string
-	build func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error)
-	bound func(sc *gather.Scenario) int
-}{
-	{"undispersed",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewUndispersedWorldIn(a) },
-		func(sc *gather.Scenario) int { return gather.R(sc.G.N()) + 2 }},
-	{"uxs",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewUXSWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.UXSGatherBound(sc.G.N()) + 2 }},
-	{"faster",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewFasterWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.FasterBound(sc.G.N()) + 10 }},
-	{"dessmark",
-		func(sc *gather.Scenario, a *gather.Arena) (*sim.World, error) { return sc.NewDessmarkWorldIn(a) },
-		func(sc *gather.Scenario) int { return sc.Cfg.FasterBound(sc.G.N()) + 10 }},
-}
+// e19Algos names the algorithm grid of E19.
+var e19Algos = []string{"undispersed", "uxs", "faster", "dessmark"}
 
 // e19Instance builds one clustered (hence undispersed) k-robot instance
 // and checks its UXS coverage.
@@ -107,28 +89,27 @@ func runE19(w io.Writer, o Options) error {
 	var jobs []runner.Job
 	for _, algo := range e19Algos {
 		for _, spec := range e19Scheds {
-			c := &cell{algo: algo.name, sched: spec}
+			c := &cell{algo: algo, sched: spec}
 			cells = append(cells, c)
 			for _, inst := range instances {
 				algo, spec, inst := algo, spec, inst
 				c.total++
 				jobs = append(jobs, runner.Job{Meta: c,
-					BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
+					Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
 						sched, err := sim.ParseScheduler(spec, inst.seed^0x19)
 						if err != nil {
 							return nil, 0, err
 						}
-						sc := inst.sc.WithScheduler(sched)
-						world, err := algo.build(sc, gather.ArenaOf(state))
+						world, cap, err := inst.sc.WithScheduler(sched).World(a, algo, 0)
 						// Double the synchronous budget: enough for the
 						// 1/p activation stretch, and a clear timeout
 						// verdict for runs desynchronization breaks.
-						return world, 2 * algo.bound(sc), err
+						return world, 2 * cap, err
 					}})
 			}
 		}
 	}
-	results, _ := sweepRunner(o).Run(o.Seed+19, jobs)
+	results, _ := runner.New(o.Parallelism).Run(o.Seed+19, jobs)
 	for _, res := range results {
 		c := res.Meta.(*cell)
 		switch {
@@ -212,15 +193,15 @@ func runE20(w io.Writer, o Options) error {
 			pt := pt
 			m := &jobMeta{pt: pt, inst: ii}
 			jobs = append(jobs, runner.Job{Meta: m,
-				BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
+				Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
 					sc := inst.WithScheduler(sim.NewSemiSync(pt.p, caseSeed^0x20))
-					world, err := sc.NewDessmarkWorldIn(gather.ArenaOf(state))
-					m.cap = 8 * (sc.Cfg.FasterBound(sc.G.N()) + 10)
+					world, cap, err := sc.World(a, "dessmark", 0)
+					m.cap = 8 * cap
 					return world, m.cap, err
 				}})
 		}
 	}
-	results, _ := sweepRunner(o).Run(o.Seed+20, jobs)
+	results, _ := runner.New(o.Parallelism).Run(o.Seed+20, jobs)
 	if err := runner.FirstErr(results); err != nil {
 		return err
 	}

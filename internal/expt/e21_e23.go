@@ -95,8 +95,8 @@ func runE21(w io.Writer, o Options) error {
 				algo, fs, inst := algo, fs, inst
 				c.total++
 				jobs = append(jobs, runner.Job{Meta: c,
-					BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-						world, cap, err := serve.BuildWorld(inst.sc, algo, 2, gather.ArenaOf(state))
+					Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+						world, cap, err := inst.sc.World(a, algo, 2)
 						if err != nil {
 							return nil, 0, err
 						}
@@ -109,7 +109,7 @@ func runE21(w io.Writer, o Options) error {
 			}
 		}
 	}
-	results, _ := sweepRunner(o).Run(o.Seed+21, jobs)
+	results, _ := runner.New(o.Parallelism).Run(o.Seed+21, jobs)
 	for _, res := range results {
 		c := res.Meta.(*cell)
 		switch {
@@ -186,26 +186,22 @@ func runE22(w io.Writer, o Options) error {
 			return err
 		}
 		inst := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), crng), Positions: pos}
-		for _, a := range arms {
-			a := a
-			m := &jobMeta{arm: a, inst: ii}
+		for _, arm := range arms {
+			arm := arm
+			m := &jobMeta{arm: arm, inst: ii}
 			// Per-arm overlays share one seed across instances — the sweep
 			// executors' per-instance churn contract — so an arm's rate is
 			// the only thing that varies between arms.
 			ovSeed := (o.Seed + 22) ^ gather.ChurnSeedSalt
 			jobs = append(jobs, runner.Job{Meta: m,
-				BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-					world, cap, err := serve.BuildWorld(inst, "uxs", 2, gather.ArenaOf(state))
+				Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+					world, cap, err := inst.World(a, "uxs", 2)
 					if err != nil {
 						return nil, 0, err
 					}
 					m.cap = cap
-					if a.rate > 0 {
-						ov := graph.NewOverlay(g, a.rate, ovSeed)
-						if p := gather.OverlayPoolOf(state); p != nil {
-							ov = p.Get(g, a.rate, ovSeed)
-						}
-						if err := world.SetOverlay(ov); err != nil {
+					if arm.rate > 0 {
+						if err := world.SetOverlay(a.Overlay(g, arm.rate, ovSeed)); err != nil {
 							return nil, 0, err
 						}
 					}

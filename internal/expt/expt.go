@@ -15,6 +15,7 @@ import (
 	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/uxs"
 )
 
@@ -34,22 +35,27 @@ type Options struct {
 
 // sweep executes a batch of scenario jobs through the shared parallel
 // runner and returns per-job results in submission order, surfacing the
-// earliest job error. Every worker carries a gather.Arena, so jobs written
-// against Job.BuildIn + the Scenario.New*WorldIn constructors reuse one
-// long-lived world per worker instead of allocating a fresh engine per
-// sweep point; jobs using plain Build are unaffected.
+// earliest job error. Jobs that build their worlds with Scenario.World in
+// the worker's arena reuse one long-lived world per worker instead of
+// allocating a fresh engine per sweep point.
 func sweep(o Options, base uint64, jobs []runner.Job) ([]runner.JobResult, error) {
-	results, _ := sweepRunner(o).Run(base, jobs)
+	results, _ := runner.New(o.Parallelism).Run(base, jobs)
 	if err := runner.FirstErr(results); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// sweepRunner builds the experiment runner: o.Parallelism workers, each
-// owning a pooled simulation state (a world arena plus an overlay pool).
-func sweepRunner(o Options) *runner.Runner {
-	return runner.New(o.Parallelism).WithWorkerState(func(int) any { return gather.NewSweepState() })
+// skip is the Build of a sweep point with nothing to simulate.
+func skip(uint64, *gather.Arena) (*sim.World, int, error) { return nil, 0, nil }
+
+// algoJob is one arm of a head-to-head case: the named algorithm on the
+// case's shared instance, built in the worker's arena and run for the
+// algorithm's cap.
+func algoJob(sc *gather.Scenario, algo string, meta any) runner.Job {
+	return runner.Job{Meta: meta, Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+		return sc.World(a, algo, 0)
+	}}
 }
 
 // checkCover checks that the exploration sequence robots derive from cfg

@@ -12,7 +12,7 @@ func TestBeepGatherTwoRobots(t *testing.T) {
 	for _, fam := range []graph.Family{graph.FamPath, graph.FamCycle, graph.FamGrid, graph.FamRandom} {
 		g := graph.FromFamily(fam, 7, rng)
 		sc := &Scenario{G: g, IDs: []int{5, 12}, Positions: []int{0, g.N() - 1}}
-		res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(g.N()) + 2)
+		res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +25,7 @@ func TestBeepGatherTwoRobots(t *testing.T) {
 func TestBeepGatherCoLocatedStart(t *testing.T) {
 	g := graph.Cycle(5)
 	sc := &Scenario{G: g, IDs: []int{3, 7}, Positions: []int{2, 2}}
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(5) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(5)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestBeepGatherSingleRobot(t *testing.T) {
 	rng := graph.NewRNG(71)
 	g := graph.FromFamily(graph.FamTree, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{9}, Positions: []int{3}}
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestBeepGatherEqualLengthIDs(t *testing.T) {
 	rng := graph.NewRNG(81)
 	g := graph.FromFamily(graph.FamCycle, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{12, 13}, Positions: []int{0, 3}}
-	res, err := sc.RunBeep(sc.Cfg.UXSGatherBound(6) + 2)
+	res, err := sc.Run("beep", 0, sc.Cfg.UXSGatherBound(6)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBeepGatherWithinBound(t *testing.T) {
 	g := graph.FromFamily(graph.FamRandom, 6, rng)
 	sc := &Scenario{G: g, IDs: []int{2, 3}, Positions: []int{0, 4}}
 	bound := sc.Cfg.UXSGatherBound(6)
-	res, err := sc.RunBeep(bound + 2)
+	res, err := sc.Run("beep", 0, bound+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestBeepGatherWithinBound(t *testing.T) {
 func TestBeepGatherRejectsThreeRobots(t *testing.T) {
 	g := graph.Path(4)
 	sc := &Scenario{G: g, IDs: []int{1, 2, 3}, Positions: []int{0, 1, 2}}
-	if _, err := sc.RunBeep(100); !errors.Is(err, errTooManyForBeep) {
+	if _, err := sc.Run("beep", 0, 100); !errors.Is(err, errTooManyForBeep) {
 		t.Errorf("err = %v, want errTooManyForBeep", err)
 	}
 }

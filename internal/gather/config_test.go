@@ -10,7 +10,7 @@ import (
 // derived schedule quantity stays positive at scale sizes where the
 // paper's polynomial bounds exceed int range — the budgets saturate at
 // satCap instead of wrapping negative (which would crash WithLength and
-// zero out the AlgoCap round limits).
+// zero out the algorithms' round caps).
 func TestBudgetsSaturatePositive(t *testing.T) {
 	for _, cfg := range []Config{{}, {UXSMode: uxs.Faithful}, {KnownMaxDegree: 8}} {
 		for _, n := range []int{1 << 20, 1 << 22, 1 << 24} {

@@ -17,7 +17,7 @@ func TestDessmarkTwoRobotsMeet(t *testing.T) {
 		for i := 1; i <= d+1; i++ {
 			cap += cfg.HopDuration(i, 8) + 1
 		}
-		res, err := sc.RunDessmark(cap + 10)
+		res, err := sc.Run("dessmark", 0, cap+10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestDessmarkRoundsGrowWithDistance(t *testing.T) {
 		g := graph.Path(10)
 		g = g.WithPermutedPorts(rng)
 		sc := &Scenario{G: g, IDs: []int{1, 2}, Positions: []int{0, d}}
-		res, err := sc.RunDessmark(sc.Cfg.HopDuration(d+1, 10)*4 + 10)
+		res, err := sc.Run("dessmark", 0, sc.Cfg.HopDuration(d+1, 10)*4+10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestDessmarkRoundsGrowWithDistance(t *testing.T) {
 func TestDessmarkCoLocatedPair(t *testing.T) {
 	g := graph.Cycle(5)
 	sc := &Scenario{G: g, IDs: []int{2, 9}, Positions: []int{1, 1}}
-	res, err := sc.RunDessmark(sc.Cfg.HopDuration(1, 5) + 10)
+	res, err := sc.Run("dessmark", 0, sc.Cfg.HopDuration(1, 5)+10)
 	if err != nil {
 		t.Fatal(err)
 	}

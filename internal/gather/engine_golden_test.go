@@ -42,6 +42,9 @@ func goldenInstances(algo string) []*Scenario {
 			rng := graph.NewRNG(seed*1000 + uint64(fi))
 			g := graph.FromFamily(fam, n, rng)
 			k := 4
+			if algo == "beep" {
+				k = 2 // the beeping model's two-robot setting
+			}
 			sc := &Scenario{
 				G:         g,
 				IDs:       AssignIDs(k, g.N(), rng),
@@ -53,24 +56,11 @@ func goldenInstances(algo string) []*Scenario {
 	return out
 }
 
-// runGolden executes one algorithm on one instance with its derived cap.
+// runGolden executes one algorithm (hopmeet at radius 2) on one instance
+// with its derived cap.
 func runGolden(t *testing.T, sc *Scenario, algo string) sim.Result {
 	t.Helper()
-	n := sc.G.N()
-	var (
-		res sim.Result
-		err error
-	)
-	switch algo {
-	case "faster":
-		res, err = sc.RunFaster(sc.Cfg.FasterBound(n) + 10)
-	case "uxs":
-		res, err = sc.RunUXS(sc.Cfg.UXSGatherBound(n) + 2)
-	case "undispersed":
-		res, err = sc.RunUndispersed(R(n) + 2)
-	case "hopmeet":
-		res, err = sc.RunHopMeet(2, sc.Cfg.HopDuration(2, n)+2)
-	}
+	res, err := sc.Run(algo, 2, 0)
 	if err != nil {
 		t.Fatalf("%s: %v", algo, err)
 	}
@@ -100,7 +90,7 @@ func TestSchedulerRunsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Sched = sched
-		res, err := sc.RunDessmark(4 * (sc.Cfg.FasterBound(g.N()) + 10))
+		res, err := sc.Run("dessmark", 0, 4*(sc.Cfg.FasterBound(g.N())+10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,38 +110,18 @@ func TestSchedulerRunsDeterministic(t *testing.T) {
 	}
 }
 
-// buildGoldenWorldIn maps an algorithm name to its pooled world and round
-// cap: the single builder behind every pooled golden check (a nil arena
-// builds fresh).
+// buildGoldenWorldIn builds an algorithm's world (hopmeet at radius 2) in
+// the arena and returns it with its round cap: the single builder behind
+// every pooled golden check (a nil arena builds fresh). dessmark gets 4x
+// its cap, room for the stretch of semi-sync and adversarial schedulers.
 func buildGoldenWorldIn(t *testing.T, sc *Scenario, algo string, a *Arena) (*sim.World, int) {
 	t.Helper()
-	n := sc.G.N()
-	var (
-		w   *sim.World
-		cap int
-		err error
-	)
-	switch algo {
-	case "faster":
-		w, err = sc.NewFasterWorldIn(a)
-		cap = sc.Cfg.FasterBound(n) + 10
-	case "uxs":
-		w, err = sc.NewUXSWorldIn(a)
-		cap = sc.Cfg.UXSGatherBound(n) + 2
-	case "undispersed":
-		w, err = sc.NewUndispersedWorldIn(a)
-		cap = R(n) + 2
-	case "hopmeet":
-		w, err = sc.NewHopMeetWorldIn(a, 2)
-		cap = sc.Cfg.HopDuration(2, n) + 2
-	case "dessmark":
-		w, err = sc.NewDessmarkWorldIn(a)
-		cap = 4 * (sc.Cfg.FasterBound(n) + 10)
-	default:
-		t.Fatalf("unknown algorithm %q", algo)
-	}
+	w, cap, err := sc.World(a, algo, 2)
 	if err != nil {
 		t.Fatalf("%s pooled build: %v", algo, err)
+	}
+	if algo == "dessmark" {
+		cap *= 4
 	}
 	return w, cap
 }
@@ -209,7 +179,7 @@ func TestPooledMatchesFreshAcrossSchedulers(t *testing.T) {
 	outcome := func(sc *Scenario, algo string, a *Arena) string {
 		return runOutcome(t, sc, algo, a)
 	}
-	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet", "dessmark"} {
+	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet", "dessmark", "beep"} {
 		for _, spec := range []string{"full", "semi:0.6", "adv:2"} {
 			algo, spec := algo, spec
 			t.Run(algo+"/"+spec, func(t *testing.T) {
@@ -238,7 +208,7 @@ func TestPooledMatchesFreshAcrossSchedulers(t *testing.T) {
 }
 
 // TestBatchHeterogeneousAlgorithms runs one worker's batch of mixed jobs
-// through one SweepState: algorithms and schedulers change from job to
+// through one Arena: algorithms and schedulers change from job to
 // job, so the arena keeps switching shape, and semi-sync or adversarial
 // jobs may legitimately panic mid-run and leave a dirty world behind.
 // Every job must reproduce its fresh scalar run exactly, whatever ran on
@@ -255,7 +225,7 @@ func TestBatchHeterogeneousAlgorithms(t *testing.T) {
 		{"faster", "adv:2"},
 		{"faster", "full"},
 	}
-	st := NewSweepState()
+	arena := NewArena()
 	for i, sc := range goldenInstances("faster")[:3] {
 		for j, job := range jobs {
 			mkSched := func() sim.Scheduler {
@@ -266,7 +236,7 @@ func TestBatchHeterogeneousAlgorithms(t *testing.T) {
 				return sched
 			}
 			fresh := runOutcome(t, sc.WithScheduler(mkSched()), job.algo, nil)
-			pooled := runOutcome(t, sc.WithScheduler(mkSched()), job.algo, st.Arena)
+			pooled := runOutcome(t, sc.WithScheduler(mkSched()), job.algo, arena)
 			if fresh != pooled {
 				t.Fatalf("instance %d job %d (%s under %s) diverged in the batch:\nfresh:  %s\npooled: %s", i, j, job.algo, job.sched, fresh, pooled)
 			}

@@ -9,7 +9,7 @@ import (
 // runFaster runs the full algorithm with a generous cap.
 func runFaster(t *testing.T, sc *Scenario) (res resWrap) {
 	t.Helper()
-	r, err := sc.RunFaster(sc.Cfg.FasterBound(sc.G.N()) + 10)
+	r, err := sc.Run("faster", 0, sc.Cfg.FasterBound(sc.G.N())+10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/sim/fault"
 )
@@ -58,28 +57,21 @@ const goldenChurnRate = 0.15
 
 // runFaultOutcome executes one faulted run and returns its printable
 // outcome (result, or contained panic error). The fault plan is drawn from
-// planSeed and the churn overlay from churnSeed, both salted. A nil st
+// planSeed and the churn overlay from churnSeed, both salted. A nil arena
 // builds the world and the overlay fresh; otherwise both come from the
-// sweep state's pools, exactly as a sweep worker builds them.
-func runFaultOutcome(t *testing.T, sc *Scenario, algo, spec string, churn float64, planSeed, churnSeed uint64, st *SweepState) string {
+// arena, exactly as a sweep worker builds them.
+func runFaultOutcome(t *testing.T, sc *Scenario, algo, spec string, churn float64, planSeed, churnSeed uint64, arena *Arena) string {
 	t.Helper()
-	var (
-		arena *Arena
-		pool  *OverlayPool
-	)
-	if st != nil {
-		arena, pool = st.Arena, st.Overlays
-	}
 	w, cap := buildGoldenWorldIn(t, sc, algo, arena)
-	installFaults(t, sc, w, pool, spec, churn, cap, planSeed, churnSeed)
+	installFaults(t, sc, w, arena, spec, churn, cap, planSeed, churnSeed)
 	res, err := w.SafeRun(cap)
 	return fmt.Sprintf("%+v err=%v", res, err)
 }
 
 // installFaults materializes the fault plan of planSeed and installs it,
 // plus the churn overlay of churnSeed when churn > 0, on the world. The
-// overlay comes from pool, or is built fresh when pool is nil.
-func installFaults(t *testing.T, sc *Scenario, w *sim.World, pool *OverlayPool, spec string, churn float64, cap int, planSeed, churnSeed uint64) {
+// overlay comes from the arena, or is built fresh when arena is nil.
+func installFaults(t *testing.T, sc *Scenario, w *sim.World, arena *Arena, spec string, churn float64, cap int, planSeed, churnSeed uint64) {
 	t.Helper()
 	s, err := fault.Parse(spec)
 	if err != nil {
@@ -90,11 +82,7 @@ func installFaults(t *testing.T, sc *Scenario, w *sim.World, pool *OverlayPool, 
 		t.Fatal(err)
 	}
 	if churn > 0 {
-		ov := graph.NewOverlay(sc.G, churn, churnSeed^churnSeedSalt)
-		if pool != nil {
-			ov = pool.Get(sc.G, churn, churnSeed^churnSeedSalt)
-		}
-		if err := w.SetOverlay(ov); err != nil {
+		if err := w.SetOverlay(arena.Overlay(sc.G, churn, churnSeed^churnSeedSalt)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +119,7 @@ func TestFaultGolden(t *testing.T) {
 }
 
 // TestFaultScalarBatchEquivalence pins every fault path on the sweep
-// path: a batch of faulted runs on one worker's SweepState — pooled
+// path: a batch of faulted runs on one worker's Arena — pooled
 // world, pooled agents, pooled churn overlay — must reproduce each run's
 // fresh scalar twin exactly (same results, or same contained panic
 // payload). Like a sweep's rows, each instance runs several fault plans
@@ -146,7 +134,7 @@ func TestFaultScalarBatchEquivalence(t *testing.T) {
 				if adv == "churn" {
 					spec, churn = "none", goldenChurnRate
 				}
-				st := NewSweepState()
+				arena := NewArena()
 				for i, sc := range goldenInstances(algo)[:6] {
 					inst := uint64(i + 1)
 					scalar := map[uint64]string{}
@@ -154,7 +142,7 @@ func TestFaultScalarBatchEquivalence(t *testing.T) {
 						if _, ok := scalar[plan]; !ok {
 							scalar[plan] = runFaultOutcome(t, sc, algo, spec, churn, plan, inst, nil)
 						}
-						if got := runFaultOutcome(t, sc, algo, spec, churn, plan, inst, st); got != scalar[plan] {
+						if got := runFaultOutcome(t, sc, algo, spec, churn, plan, inst, arena); got != scalar[plan] {
 							t.Fatalf("instance %d plan %d under %s:\nscalar %s\n batch %s", i, plan, adv, scalar[plan], got)
 						}
 					}

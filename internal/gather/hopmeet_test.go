@@ -110,7 +110,7 @@ func TestHopMeetPairAtDistanceMeets(t *testing.T) {
 				t.Fatalf("%s: no pair at distance %d", fam, radius)
 			}
 			sc := pairScenario(g, 5, 6, u, v) // IDs differing in bit 0
-			res, err := sc.RunHopMeet(radius, sc.Cfg.HopDuration(radius, g.N())+1)
+			res, err := sc.Run("hopmeet", radius, sc.Cfg.HopDuration(radius, g.N())+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestHopMeetRespectsScheduleBound(t *testing.T) {
 	g := graph.Cycle(8)
 	sc := pairScenario(g, 3, 12, 0, 2)
 	dur := sc.Cfg.HopDuration(2, 8)
-	res, err := sc.RunHopMeet(2, dur+5)
+	res, err := sc.Run("hopmeet", 2, dur+5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestHopMeetFrozenRobotsStayTogether(t *testing.T) {
 	g := graph.Path(6)
 	sc := pairScenario(g, 5, 6, 2, 3) // adjacent robots
 	dur := sc.Cfg.HopDuration(1, 6)
-	res, err := sc.RunHopMeet(1, dur+1)
+	res, err := sc.Run("hopmeet", 1, dur+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestHopMeetTooFarDoesNotMeet(t *testing.T) {
 	g := graph.Path(9)
 	sc := pairScenario(g, 2, 4, 0, 8)
 	dur := sc.Cfg.HopDuration(1, 9)
-	res, err := sc.RunHopMeet(1, dur+1)
+	res, err := sc.Run("hopmeet", 1, dur+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestHopMeetManyRobotsSomePairMeets(t *testing.T) {
 	pos := rng.Perm(12)[:k]
 	sc := &Scenario{G: g, IDs: ids, Positions: pos}
 	dur := sc.Cfg.HopDuration(2, 12)
-	res, err := sc.RunHopMeet(2, dur+1)
+	res, err := sc.Run("hopmeet", 2, dur+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestHopMeetDeltaAblationShorter(t *testing.T) {
 	g := graph.Cycle(n)
 	sc := pairScenario(g, 5, 6, 0, 3)
 	sc.Cfg = abl
-	res, err := sc.RunHopMeet(3, abl.HopDuration(3, n)+1)
+	res, err := sc.Run("hopmeet", 3, abl.HopDuration(3, n)+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestHopMeetDeltaAblationShorter(t *testing.T) {
 func TestHopMeetAgentVerdicts(t *testing.T) {
 	g := graph.Path(4)
 	sc := pairScenario(g, 5, 6, 1, 2)
-	res, err := sc.RunHopMeet(1, sc.Cfg.HopDuration(1, 4)+1)
+	res, err := sc.Run("hopmeet", 1, sc.Cfg.HopDuration(1, 4)+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,31 +32,22 @@ func TestAllAlgorithmsUnderInvariants(t *testing.T) {
 		pos := place.MaxMinDispersed(tc.g, k, rng)
 		sc := &Scenario{G: tc.g, IDs: ids, Positions: pos}
 
-		runs := []struct {
-			algo string
-			mk   func() (*sim.World, error)
-			cap  int
-		}{
-			{"faster", sc.NewFasterWorld, sc.Cfg.FasterBound(n) + 10},
-			{"uxs", sc.NewUXSWorld, sc.Cfg.UXSGatherBound(n) + 2},
-			{"undispersed", sc.NewUndispersedWorld, R(n) + 2},
-		}
-		for _, run := range runs {
-			w, err := run.mk()
+		for _, algo := range []string{"faster", "uxs", "undispersed"} {
+			w, cap, err := sc.World(nil, algo, 0)
 			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, run.algo, err)
+				t.Fatalf("%s/%s: %v", tc.name, algo, err)
 			}
 			inv := &sim.InvariantTracer{}
 			w.SetTracer(inv)
-			res := w.Run(run.cap)
+			res := w.Run(cap)
 			if inv.Err != nil {
-				t.Errorf("%s/%s: invariant violated: %v", tc.name, run.algo, inv.Err)
+				t.Errorf("%s/%s: invariant violated: %v", tc.name, algo, inv.Err)
 			}
-			if run.algo != "undispersed" && !res.DetectionCorrect {
-				t.Errorf("%s/%s: detection incorrect: %+v", tc.name, run.algo, res)
+			if algo != "undispersed" && !res.DetectionCorrect {
+				t.Errorf("%s/%s: detection incorrect: %+v", tc.name, algo, res)
 			}
-			if run.algo == "undispersed" && !res.AllTerminated {
-				t.Errorf("%s/%s: did not terminate", tc.name, run.algo)
+			if algo == "undispersed" && !res.AllTerminated {
+				t.Errorf("%s/%s: did not terminate", tc.name, algo)
 			}
 		}
 	}
@@ -80,7 +71,7 @@ func TestExoticFamiliesGatherWithDetection(t *testing.T) {
 			t.Fatalf("%s: no distance-2 pair", tc.name)
 		}
 		sc := &Scenario{G: tc.g, IDs: []int{4, 9}, Positions: []int{u, v}}
-		res, err := sc.RunFaster(sc.Cfg.FasterBound(tc.g.N()) + 10)
+		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(tc.g.N())+10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +94,13 @@ func TestSoakLargeUndispersed(t *testing.T) {
 	ids := AssignIDs(k, g.N(), rng)
 	pos := place.Clustered(g, k, k/2, rng)
 	sc := &Scenario{G: g, IDs: ids, Positions: pos}
-	w, err := sc.NewUndispersedWorld()
+	w, cap, err := sc.World(nil, "undispersed", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inv := &sim.InvariantTracer{}
 	w.SetTracer(inv)
-	res := w.Run(R(g.N()) + 2)
+	res := w.Run(cap)
 	if inv.Err != nil {
 		t.Fatalf("invariant violated: %v", inv.Err)
 	}

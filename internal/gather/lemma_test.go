@@ -20,7 +20,7 @@ func TestLemma1WaiterMetIffLongerID(t *testing.T) {
 	// working, so they must meet no later than robot 1's wait window.
 	sc := &Scenario{G: g, IDs: []int{1, 8}, Positions: []int{0, 3}}
 	T := sc.Cfg.UXSLength(g.N())
-	res, err := sc.RunUXS(sc.Cfg.UXSGatherBound(g.N()) + 2)
+	res, err := sc.Run("uxs", 0, sc.Cfg.UXSGatherBound(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestLemma1WaiterMetIffLongerID(t *testing.T) {
 	// have happened earlier, during the first differing-bit phase.
 	scB := &Scenario{G: g, IDs: []int{10, 12}, Positions: []int{0, 3}} // 1010 vs 1100
 	scB.Cfg = sc.Cfg
-	resB, err := scB.RunUXS(scB.Cfg.UXSGatherBound(g.N()) + 2)
+	resB, err := scB.Run("uxs", 0, scB.Cfg.UXSGatherBound(g.N())+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,10 @@ func TestLemma2NoPrematureTermination(t *testing.T) {
 		n := g.N()
 		k := 2 + trial%3
 		sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: place.Random(g, k, rng)}
-		w, err := sc.NewUXSWorld()
+		w, cap, err := sc.World(nil, "uxs", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cap := sc.Cfg.UXSGatherBound(n) + 2
 		for w.Round() < cap && !w.AllDone() {
 			w.Step()
 			if w.DoneCount() > 0 && !w.AllColocated() {
@@ -90,7 +89,7 @@ func TestLemma7IncludingWaiterAtHome(t *testing.T) {
 		IDs:       []int{2, 9, 5, 7, 11},
 		Positions: []int{4, 4, 0, 2, 6},
 	}
-	res, err := sc.RunUndispersed(R(7) + 2)
+	res, err := sc.Run("undispersed", 0, R(7)+2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestLemma11AlonenessIsUnanimous(t *testing.T) {
 			pos[1] = pos[0] // guarantee one co-located pair
 		}
 		sc := &Scenario{G: g, IDs: AssignIDs(k, n, rng), Positions: pos}
-		res, err := sc.RunUndispersed(R(n) + 2)
+		res, err := sc.Run("undispersed", 0, R(n)+2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,9 +21,9 @@ type Scenario struct {
 	Positions []int
 	Cfg       Config
 	// Sched, when non-nil, is installed on every world the scenario
-	// builds (all Run*/New*World paths honor it); nil keeps the paper's
-	// fully-synchronous model. Schedulers carry per-run state, so a
-	// Scenario with a stateful Sched (SemiSync, Adversarial) builds one
+	// builds (World, Run and DelayedWorld all install it); nil keeps the
+	// paper's fully-synchronous model. Schedulers carry per-run state, so
+	// a Scenario with a stateful Sched (SemiSync, Adversarial) builds one
 	// world per scheduler instance: parallel sweeps derive a per-job copy
 	// via WithScheduler instead of sharing one stateful scheduler.
 	Sched sim.Scheduler
@@ -99,11 +99,92 @@ func (s *Scenario) MinPairDistance() int {
 	return best
 }
 
-// newWorld builds a simulator world from per-robot agents.
-func (s *Scenario) newWorld(mk func(id int) sim.Agent) (*sim.World, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// World loads the scenario into a world running the named algorithm
+// (faster, uxs, undispersed, hopmeet, dessmark or beep; radius is the
+// hopmeet radius) and returns it with the algorithm's round cap. A
+// non-nil arena builds the world in the arena, pooled across calls (see
+// Arena); nil builds a fresh world the caller owns.
+func (s *Scenario) World(a *Arena, algo string, radius int) (*sim.World, int, error) {
+	mk, cap, err := s.algorithm(algo, radius)
+	if err != nil {
+		return nil, 0, err
 	}
+	key := arenaKey{algo: algo, g: s.G, k: len(s.IDs), cfg: s.Cfg, radius: radius}
+	w, err := a.load(s, key, mk)
+	return w, cap, err
+}
+
+// Run executes the named algorithm on a fresh world for maxRounds
+// rounds, or for the algorithm's cap when maxRounds is 0, and returns the
+// run summary.
+func (s *Scenario) Run(algo string, radius, maxRounds int) (sim.Result, error) {
+	w, cap, err := s.World(nil, algo, radius)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if maxRounds > 0 {
+		cap = maxRounds
+	}
+	return w.Run(cap), nil
+}
+
+// DelayedWorld is World on a fresh world with per-robot wake rounds
+// (wakes[i] delays s.IDs[i]); it models the startup-delay setting the
+// paper leaves as future work. hopmeet runs with radius 0. The returned
+// cap is the synchronous one: a caller that delays robots adds its delay.
+func (s *Scenario) DelayedWorld(algo string, wakes []int) (*sim.World, int, error) {
+	if len(wakes) != len(s.IDs) {
+		return nil, 0, fmt.Errorf("gather: %d wakes for %d robots", len(wakes), len(s.IDs))
+	}
+	mk, cap, err := s.algorithm(algo, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	i := -1
+	w, err := s.newWorld(func(id int) sim.Agent {
+		i++
+		return sim.Delayed(mk(id), wakes[i])
+	})
+	return w, cap, err
+}
+
+// algorithm validates the scenario and resolves a named algorithm to its
+// per-robot agent constructor and its round cap on this scenario: the
+// one place each algorithm meets its bound — Theorems 12/16's
+// FasterBound for Faster-Gathering (and the iterated-deepening baseline
+// it is compared with), Theorem 6's UXSGatherBound for UXS gathering
+// (and its beeping-model variant), Theorem 8's R(n) for
+// Undispersed-Gathering and Lemma 10's HopDuration for i-Hop-Meeting.
+// The error texts are the CLI contract ("unknown algorithm", beep's
+// two-robot limit).
+func (s *Scenario) algorithm(algo string, radius int) (func(id int) sim.Agent, int, error) {
+	if err := s.Validate(); err != nil {
+		return nil, 0, err
+	}
+	n, cfg := s.G.N(), s.Cfg
+	switch algo {
+	case "faster":
+		return func(id int) sim.Agent { return NewFasterAgent(cfg, n, id) }, cfg.FasterBound(n) + 10, nil
+	case "uxs":
+		return func(id int) sim.Agent { return NewUXSGAgent(cfg, n, id) }, cfg.UXSGatherBound(n) + 2, nil
+	case "undispersed":
+		return func(id int) sim.Agent { return NewUGAgent(n, id) }, R(n) + 2, nil
+	case "hopmeet":
+		return func(id int) sim.Agent { return NewHopMeetAgent(cfg, radius, n, id) }, cfg.HopDuration(radius, n) + 2, nil
+	case "dessmark":
+		return func(id int) sim.Agent { return NewDessmarkAgent(cfg, n, id) }, cfg.FasterBound(n) + 10, nil
+	case "beep":
+		if len(s.IDs) > 2 {
+			return nil, 0, errTooManyForBeep
+		}
+		return func(id int) sim.Agent { return NewBeepAgent(cfg, n, id) }, cfg.UXSGatherBound(n) + 2, nil
+	}
+	return nil, 0, fmt.Errorf("unknown algorithm %q", algo)
+}
+
+// newWorld builds a fresh simulator world from per-robot agents; the
+// scenario must already be valid.
+func (s *Scenario) newWorld(mk func(id int) sim.Agent) (*sim.World, error) {
 	agents := make([]sim.Agent, len(s.IDs))
 	for i, id := range s.IDs {
 		agents[i] = mk(id)
@@ -116,112 +197,4 @@ func (s *Scenario) newWorld(mk func(id int) sim.Agent) (*sim.World, error) {
 		w.SetScheduler(s.Sched)
 	}
 	return w, nil
-}
-
-// RunFaster executes the complete Faster-Gathering algorithm (Theorems 12
-// and 16) and returns the run summary. maxRounds caps the simulation.
-func (s *Scenario) RunFaster(maxRounds int) (sim.Result, error) {
-	w, err := s.NewFasterWorld()
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// NewFasterWorld returns a simulator world loaded with Faster-Gathering
-// robots, for callers that want to step, trace or inspect the run
-// manually (see the maze example).
-func (s *Scenario) NewFasterWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewFasterAgent(s.Cfg, s.G.N(), id) })
-}
-
-// NewUXSWorld returns a simulator world loaded with §2.1 UXS-gathering
-// robots, for fault- and delay-injection experiments.
-func (s *Scenario) NewUXSWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewUXSGAgent(s.Cfg, s.G.N(), id) })
-}
-
-// NewFasterWorldDelayed is NewFasterWorld with per-robot wake rounds
-// (wakes[i] delays s.IDs[i]); it models the startup-delay setting the
-// paper leaves as future work. wakes must match the robot count.
-func (s *Scenario) NewFasterWorldDelayed(wakes []int) (*sim.World, error) {
-	if len(wakes) != len(s.IDs) {
-		return nil, fmt.Errorf("gather: %d wakes for %d robots", len(wakes), len(s.IDs))
-	}
-	i := -1
-	return s.newWorld(func(id int) sim.Agent {
-		i++
-		return sim.Delayed(NewFasterAgent(s.Cfg, s.G.N(), id), wakes[i])
-	})
-}
-
-// NewUXSWorldDelayed is NewUXSWorld with per-robot wake rounds.
-func (s *Scenario) NewUXSWorldDelayed(wakes []int) (*sim.World, error) {
-	if len(wakes) != len(s.IDs) {
-		return nil, fmt.Errorf("gather: %d wakes for %d robots", len(wakes), len(s.IDs))
-	}
-	i := -1
-	return s.newWorld(func(id int) sim.Agent {
-		i++
-		return sim.Delayed(NewUXSGAgent(s.Cfg, s.G.N(), id), wakes[i])
-	})
-}
-
-// NewUndispersedWorld returns a world loaded with standalone
-// Undispersed-Gathering robots.
-func (s *Scenario) NewUndispersedWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewUGAgent(s.G.N(), id) })
-}
-
-// NewHopMeetWorld returns a world loaded with standalone i-Hop-Meeting
-// robots of the given radius.
-func (s *Scenario) NewHopMeetWorld(radius int) (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewHopMeetAgent(s.Cfg, radius, s.G.N(), id) })
-}
-
-// NewDessmarkWorld returns a world loaded with the iterated-deepening
-// baseline robots.
-func (s *Scenario) NewDessmarkWorld() (*sim.World, error) {
-	return s.newWorld(func(id int) sim.Agent { return NewDessmarkAgent(s.Cfg, s.G.N(), id) })
-}
-
-// RunUXS executes the §2.1 UXS gathering-with-detection algorithm
-// (Theorem 6). It doubles as the gathering-without-detection baseline via
-// Result.FirstGatherRound.
-func (s *Scenario) RunUXS(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewUXSGAgent(s.Cfg, s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunUndispersed executes standalone Undispersed-Gathering (Theorem 8);
-// the initial configuration must be undispersed for its guarantee.
-func (s *Scenario) RunUndispersed(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewUGAgent(s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunHopMeet executes the standalone i-Hop-Meeting procedure (Lemmas 9 and
-// 10) with the given radius; Result.FirstMeetRound reports when an
-// undispersed configuration was reached.
-func (s *Scenario) RunHopMeet(radius, maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewHopMeetAgent(s.Cfg, radius, s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
-}
-
-// RunDessmark executes the iterated-deepening baseline [17].
-func (s *Scenario) RunDessmark(maxRounds int) (sim.Result, error) {
-	w, err := s.newWorld(func(id int) sim.Agent { return NewDessmarkAgent(s.Cfg, s.G.N(), id) })
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return w.Run(maxRounds), nil
 }

@@ -73,19 +73,27 @@ func TestScenarioUXSLengthFromN(t *testing.T) {
 
 func TestRunnersRejectInvalidScenario(t *testing.T) {
 	sc := &Scenario{G: graph.Path(3), IDs: []int{1, 1}, Positions: []int{0, 1}}
-	if _, err := sc.RunFaster(10); err == nil {
-		t.Error("RunFaster accepted duplicate IDs")
+	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet", "dessmark", "beep"} {
+		if _, err := sc.Run(algo, 1, 10); err == nil {
+			t.Errorf("%s accepted duplicate IDs", algo)
+		}
 	}
-	if _, err := sc.RunUXS(10); err == nil {
-		t.Error("RunUXS accepted duplicate IDs")
+}
+
+// An unknown name is an error with the CLI's text, on every builder and
+// with or without an arena.
+func TestUnknownAlgorithm(t *testing.T) {
+	sc := &Scenario{G: graph.Path(3), IDs: []int{1, 2}, Positions: []int{0, 2}}
+	const want = `unknown algorithm "x"`
+	for _, a := range []*Arena{nil, NewArena()} {
+		if _, _, err := sc.World(a, "x", 0); err == nil || err.Error() != want {
+			t.Errorf("World(arena %v): err = %v, want %s", a != nil, err, want)
+		}
 	}
-	if _, err := sc.RunUndispersed(10); err == nil {
-		t.Error("RunUndispersed accepted duplicate IDs")
+	if _, err := sc.Run("x", 0, 0); err == nil || err.Error() != want {
+		t.Errorf("Run: err = %v, want %s", err, want)
 	}
-	if _, err := sc.RunHopMeet(1, 10); err == nil {
-		t.Error("RunHopMeet accepted duplicate IDs")
-	}
-	if _, err := sc.RunDessmark(10); err == nil {
-		t.Error("RunDessmark accepted duplicate IDs")
+	if _, _, err := sc.DelayedWorld("x", []int{0, 0}); err == nil || err.Error() != want {
+		t.Errorf("DelayedWorld: err = %v, want %s", err, want)
 	}
 }

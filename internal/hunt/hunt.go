@@ -196,12 +196,14 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 	for i, s := range fresh {
 		scSeed := s
 		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-				sc, err := candidateScenario(cfg, scSeed)
+			Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+				// A candidate is a sweep row of its seed, on the hunt's config.
+				sc, err := serve.RowScenario(cfg.G, cfg.Placement, cfg.K, cfg.Sched, scSeed)
 				if err != nil {
 					return nil, 0, err
 				}
-				w, cap, err := serve.BuildWorld(sc, cfg.Algo, cfg.Radius, gather.ArenaOf(state))
+				sc.Cfg = cfg.Cfg
+				w, cap, err := sc.World(a, cfg.Algo, cfg.Radius)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -225,8 +227,7 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 			}}
 	}
 
-	r := runner.New(cfg.Parallelism).WithWorkerState(func(int) any { return gather.NewArena() })
-	results, _ := r.Run(cfg.Seed, jobs)
+	results, _ := runner.New(cfg.Parallelism).Run(cfg.Seed, jobs)
 	for _, jr := range results {
 		s := jr.Meta.(uint64)
 		if jr.Err != nil {
@@ -241,20 +242,4 @@ func evaluate(cfg Config, seeds []uint64, seen map[uint64]Candidate, evaluated *
 		seen[s] = Candidate{Seed: s, Rounds: jr.Res.Rounds, Moves: jr.Res.TotalMoves}
 	}
 	return nil
-}
-
-// candidateScenario derives one candidate's scenario from its seed
-// exactly like a sweep row: IDs, placement and scheduler all from the
-// seed's stream, the frozen graph and config shared.
-func candidateScenario(cfg Config, scSeed uint64) (*gather.Scenario, error) {
-	rng := graph.NewRNG(scSeed)
-	pos, err := serve.PlaceRobots(cfg.G, cfg.Placement, cfg.K, rng)
-	if err != nil {
-		return nil, err
-	}
-	sc := &gather.Scenario{G: cfg.G, IDs: gather.AssignIDs(cfg.K, cfg.G.N(), rng), Positions: pos, Cfg: cfg.Cfg}
-	if sc.Sched, err = serve.BuildSched(cfg.Sched, scSeed); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }

@@ -42,13 +42,13 @@ func TestJobResultDeterminismBoundary(t *testing.T) {
 	// so Elapsed is guaranteed to differ between them and between runs.
 	// After stripping the allowlisted field, results must be bit-equal
 	// across worker counts AND across repeated runs.
-	jobs := gatherJobs(6)
+	jobs := gatherJobs(6, true)
 	ref, _ := New(1).Run(99, jobs)
 	if err := FirstErr(ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, _ := New(workers).Run(99, gatherJobs(6))
+		got, _ := New(workers).Run(99, gatherJobs(6, true))
 		if !reflect.DeepEqual(stripTiming(ref), stripTiming(got)) {
 			t.Errorf("workers=%d: stripping the allowlisted wall-clock fields did not make results deterministic", workers)
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/gather"
 	"repro/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	cancel()
 	jobs := make([]Job, 5)
 	for i := range jobs {
-		jobs[i] = Job{Build: func(uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
 			t.Error("canceled batch executed a job")
 			return nil, 0, nil
 		}}
@@ -50,12 +51,12 @@ func TestRunCtxPreCanceled(t *testing.T) {
 func TestRunCtxMidRunCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	jobs := make([]Job, 4)
-	jobs[0] = Job{Build: func(uint64) (*sim.World, int, error) {
+	jobs[0] = Job{Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
 		cancel() // the batch's caller gives up while job 0 executes
 		return nil, 0, nil
 	}}
 	for i := 1; i < len(jobs); i++ {
-		jobs[i] = Job{Build: func(uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
 			t.Error("job after cancellation executed")
 			return nil, 0, nil
 		}}
@@ -75,7 +76,7 @@ func TestRunCtxMidRunCancel(t *testing.T) {
 // TestRunCtxBackgroundMatchesRun pins that the context hook is free when
 // unused: RunCtx on a background context is bit-identical to Run.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	jobs := gatherJobs(8)
+	jobs := gatherJobs(8, true)
 	ref, _ := New(2).Run(11, jobs)
 	got, _ := New(2).RunCtx(context.Background(), 11, jobs)
 	if !reflect.DeepEqual(stripTiming(ref), stripTiming(got)) {

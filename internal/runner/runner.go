@@ -14,10 +14,10 @@
 // constructing only the per-run world — and, via Scenario.WithScheduler,
 // a per-run scheduler — inside Build.
 //
-// For zero-rebuild sweeps, WithWorkerState gives every worker a
-// long-lived value (typically a gather.Arena) that Job.BuildIn receives
-// alongside the seed, so even the per-run world is reused — rewound with
-// World.Reset — instead of reconstructed. Worker state is an allocation
+// Every worker owns one gather.Arena and hands it to each Job.Build it
+// executes, so a job that builds its world with Scenario.World in that
+// arena reuses one long-lived world per worker — rewound with
+// World.Reset — instead of reconstructing it. The arena is an allocation
 // pool only: results must never depend on it.
 package runner
 
@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/gather"
 	"repro/internal/sim"
 )
 
@@ -39,21 +40,18 @@ import (
 // needs must come from the seed argument and any captured state must be
 // read-only or owned by this job alone.
 //
+// Build also receives the executing worker's arena (never nil), which it
+// may build its world in (Scenario.World) instead of allocating a fresh
+// one, or ignore. Which jobs share an arena depends on scheduling, so the
+// job's RESULT must be a function of its seed and captured read-only data
+// alone, never of what previous jobs left in the arena.
+//
 // Build may return a nil world (with a nil error) for a pure-compute or
 // skipped job: the runner records a zero Result and moves on, which lets
 // sweep loops keep one code path for iterations that have nothing to
 // simulate (e.g. no node pair at the requested distance).
 type Job struct {
-	Build func(seed uint64) (*sim.World, int, error)
-	// BuildIn, when non-nil, takes precedence over Build and additionally
-	// receives the executing worker's long-lived state (see
-	// Runner.WithWorkerState) — typically a pooled simulation arena the
-	// job builds its world *in* instead of allocating a fresh one. The
-	// state a job observes depends on scheduling, so it must be a pure
-	// allocation pool: the job's RESULT must be a function of its seed and
-	// captured read-only data alone, never of what previous jobs left in
-	// the state. On a runner without worker state, BuildIn receives nil.
-	BuildIn func(seed uint64, state any) (*sim.World, int, error)
+	Build func(seed uint64, a *gather.Arena) (*sim.World, int, error)
 	// Stop, when non-nil, is an extra termination predicate checked
 	// between rounds: the run ends as soon as it returns true, before
 	// the cap and before all agents terminate. Sweeps over agents that
@@ -95,7 +93,6 @@ type Stats struct {
 // Runner executes job batches on a bounded worker pool.
 type Runner struct {
 	workers int
-	state   func(worker int) any
 }
 
 // New returns a runner with the given worker count; workers <= 0 selects
@@ -110,19 +107,6 @@ func New(workers int) *Runner {
 
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.workers }
-
-// WithWorkerState installs a per-worker state initializer and returns the
-// runner for chaining. Each worker goroutine of each Run calls init once
-// (with its worker index) and hands the value to every Job.BuildIn it
-// executes, so jobs can reuse worker-owned allocations — a pooled World
-// and agent arena — instead of rebuilding them per job. The state is only
-// ever touched by its own worker, so init needs no synchronization; which
-// jobs share a state instance depends on scheduling, which is exactly why
-// state must never influence results (see Job.BuildIn).
-func (r *Runner) WithWorkerState(init func(worker int) any) *Runner {
-	r.state = init
-	return r
-}
 
 // splitmix64 is the SplitMix64 finalizer: a bijective scrambler whose
 // outputs for consecutive inputs are statistically independent, which is
@@ -168,12 +152,9 @@ func (r *Runner) RunCtx(ctx context.Context, base uint64, jobs []Job) ([]JobResu
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			var state any
-			if r.state != nil {
-				state = r.state(worker)
-			}
+			arena := gather.NewArena()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= len(jobs) {
@@ -183,9 +164,9 @@ func (r *Runner) RunCtx(ctx context.Context, base uint64, jobs []Job) ([]JobResu
 					results[i] = canceledResult(base, i, jobs[i], err)
 					continue // drain: every remaining index gets a result
 				}
-				results[i] = runOne(base, i, jobs[i], state)
+				results[i] = runOne(base, i, jobs[i], arena)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	st := collectStats(results, time.Since(start))
@@ -233,7 +214,7 @@ func FirstErr(results []JobResult) error {
 	return nil
 }
 
-func runOne(base uint64, i int, j Job, state any) JobResult {
+func runOne(base uint64, i int, j Job, arena *gather.Arena) JobResult {
 	out := JobResult{Index: i, Seed: JobSeed(base, i), Meta: j.Meta}
 	t0 := time.Now()
 	func() {
@@ -251,19 +232,11 @@ func runOne(base uint64, i int, j Job, state any) JobResult {
 				out.Stack = string(debug.Stack())
 			}
 		}()
-		var (
-			w   *sim.World
-			cap int
-			err error
-		)
-		switch {
-		case j.BuildIn != nil:
-			w, cap, err = j.BuildIn(out.Seed, state)
-		case j.Build != nil:
-			w, cap, err = j.Build(out.Seed)
-		default:
-			err = fmt.Errorf("runner: job %d has neither Build nor BuildIn", i)
+		if j.Build == nil {
+			out.Err = fmt.Errorf("runner: job %d has no Build", i)
+			return
 		}
+		w, cap, err := j.Build(out.Seed, arena)
 		switch {
 		case err != nil:
 			out.Err = err

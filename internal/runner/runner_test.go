@@ -14,14 +14,15 @@ import (
 
 // gatherJobs builds a representative sweep: k-robot Faster-Gathering on
 // seed-permuted cycles of varying size, all randomness derived from the
-// per-job seed.
-func gatherJobs(count int) []Job {
+// per-job seed. pooled jobs build their worlds in the worker's arena; the
+// others build fresh ones.
+func gatherJobs(count int, pooled bool) []Job {
 	jobs := make([]Job, count)
 	for i := 0; i < count; i++ {
 		n := 8 + 2*(i%3)
 		jobs[i] = Job{
 			Meta: n,
-			Build: func(seed uint64) (*sim.World, int, error) {
+			Build: func(seed uint64, a *gather.Arena) (*sim.World, int, error) {
 				rng := graph.NewRNG(seed)
 				g := graph.Cycle(n)
 				g = g.WithPermutedPorts(rng)
@@ -31,8 +32,10 @@ func gatherJobs(count int) []Job {
 					IDs:       gather.AssignIDs(k, n, rng),
 					Positions: place.MaxMinDispersed(g, k, rng),
 				}
-				w, err := sc.NewFasterWorld()
-				return w, sc.Cfg.FasterBound(n) + 10, err
+				if !pooled {
+					a = nil
+				}
+				return sc.World(a, "faster", 0)
 			},
 		}
 	}
@@ -51,12 +54,12 @@ func stripTiming(results []JobResult) []JobResult {
 
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	const base = 42
-	ref, refStats := New(1).Run(base, gatherJobs(12))
+	ref, refStats := New(1).Run(base, gatherJobs(12, false))
 	if err := FirstErr(ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, _ := New(workers).Run(base, gatherJobs(12))
+		got, _ := New(workers).Run(base, gatherJobs(12, false))
 		if !reflect.DeepEqual(stripTiming(ref), stripTiming(got)) {
 			t.Errorf("workers=%d: results differ from serial reference", workers)
 		}
@@ -67,7 +70,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestResultsInSubmissionOrder(t *testing.T) {
-	jobs := gatherJobs(20)
+	jobs := gatherJobs(20, true)
 	results, st := New(4).Run(7, jobs)
 	if len(results) != len(jobs) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
@@ -104,10 +107,10 @@ func TestJobSeedsDistinct(t *testing.T) {
 
 func TestErrorsAndSkipsRecordedPerJob(t *testing.T) {
 	jobs := []Job{
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 0") }},
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, nil }}, // pure-compute skip
-		gatherJobs(1)[0],
-		{Build: func(uint64) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 3") }},
+		{Build: func(uint64, *gather.Arena) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 0") }},
+		{Build: func(uint64, *gather.Arena) (*sim.World, int, error) { return nil, 0, nil }}, // pure-compute skip
+		gatherJobs(1, true)[0],
+		{Build: func(uint64, *gather.Arena) (*sim.World, int, error) { return nil, 0, fmt.Errorf("boom 3") }},
 	}
 	results, st := New(4).Run(1, jobs)
 	if results[0].Err == nil || results[3].Err == nil {
@@ -129,17 +132,16 @@ func TestErrorsAndSkipsRecordedPerJob(t *testing.T) {
 
 // sharedGraphJobs builds a batch in which every job references ONE frozen
 // graph and scenario skeleton: only worlds (and per-job placements) are
-// constructed inside Build. This is the shared-graph sweep shape the
-// immutable CSR layout exists for.
+// constructed inside Build, each fresh. This is the shared-graph sweep
+// shape the immutable CSR layout exists for.
 func sharedGraphJobs(sc *gather.Scenario, count int) []Job {
 	jobs := make([]Job, count)
 	for i := range jobs {
-		jobs[i] = Job{Build: func(seed uint64) (*sim.World, int, error) {
+		jobs[i] = Job{Build: func(seed uint64, _ *gather.Arena) (*sim.World, int, error) {
 			jrng := graph.NewRNG(seed)
 			job := *sc // shallow copy: same frozen graph, per-job placement
 			job.Positions = place.MaxMinDispersed(sc.G, len(sc.IDs), jrng)
-			w, err := job.NewFasterWorld()
-			return w, job.Cfg.FasterBound(sc.G.N()) + 10, err
+			return job.World(nil, "faster", 0)
 		}}
 	}
 	return jobs
@@ -176,45 +178,18 @@ func TestSharedFrozenGraphAcrossWorkers(t *testing.T) {
 	}
 }
 
-// pooledGatherJobs is gatherJobs written against the pooled path: every
-// job builds its world in the executing worker's arena via BuildIn.
-func pooledGatherJobs(count int) []Job {
-	jobs := make([]Job, count)
-	for i := 0; i < count; i++ {
-		n := 8 + 2*(i%3)
-		jobs[i] = Job{
-			Meta: n,
-			BuildIn: func(seed uint64, state any) (*sim.World, int, error) {
-				rng := graph.NewRNG(seed)
-				g := graph.Cycle(n)
-				g = g.WithPermutedPorts(rng)
-				k := n/2 + 1
-				sc := &gather.Scenario{
-					G:         g,
-					IDs:       gather.AssignIDs(k, n, rng),
-					Positions: place.MaxMinDispersed(g, k, rng),
-				}
-				w, err := sc.NewFasterWorldIn(gather.ArenaOf(state))
-				return w, sc.Cfg.FasterBound(n) + 10, err
-			},
-		}
-	}
-	return jobs
-}
-
 // Pooled execution must not change a single bit of a batch's results: the
 // serial fresh-construction reference, the serial pooled run and pooled
 // runs at several worker counts (different arena reuse patterns each
 // time) must all agree.
 func TestPooledWorkerStateDeterminism(t *testing.T) {
 	const base = 77
-	ref, _ := New(1).Run(base, gatherJobs(12))
+	ref, _ := New(1).Run(base, gatherJobs(12, false))
 	if err := FirstErr(ref); err != nil {
 		t.Fatal(err)
 	}
-	arenas := func(int) any { return gather.NewArena() }
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, _ := New(workers).WithWorkerState(arenas).Run(base, pooledGatherJobs(12))
+		got, _ := New(workers).Run(base, gatherJobs(12, true))
 		if err := FirstErr(got); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -224,56 +199,50 @@ func TestPooledWorkerStateDeterminism(t *testing.T) {
 	}
 }
 
-// Worker-state plumbing: init runs once per worker, BuildIn receives that
-// worker's value on every job, and a job with neither Build nor BuildIn
-// is an error, not a panic.
+// Worker-state plumbing: every job's Build receives its worker's arena,
+// never nil, and one per worker, so a batch sees at most as many distinct
+// arenas as it has workers. A job without a Build is an error, not a panic.
 func TestWorkerStatePlumbing(t *testing.T) {
+	const workers = 3
 	var mu sync.Mutex
-	inits := map[int]int{}
-	r := New(3).WithWorkerState(func(worker int) any {
-		mu.Lock()
-		inits[worker]++
-		mu.Unlock()
-		return &worker
-	})
+	uses := map[*gather.Arena]int{}
 	jobs := make([]Job, 12)
 	for i := range jobs {
-		jobs[i] = Job{BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
-			if _, ok := state.(*int); !ok {
-				return nil, 0, fmt.Errorf("job saw state %T, want *int", state)
+		jobs[i] = Job{Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
+			if a == nil {
+				return nil, 0, fmt.Errorf("job got a nil arena")
 			}
+			mu.Lock()
+			uses[a]++
+			mu.Unlock()
 			return nil, 0, nil // pure-compute skip
 		}}
 	}
 	jobs = append(jobs, Job{}) // no builder at all
-	results, st := r.Run(5, jobs)
+	results, st := New(workers).Run(5, jobs)
 	for i := 0; i < 12; i++ {
 		if results[i].Err != nil {
 			t.Fatal(results[i].Err)
 		}
 	}
-	if results[12].Err == nil {
-		t.Error("builder-less job did not error")
+	if results[12].Err == nil || results[12].Stack != "" {
+		t.Errorf("builder-less job: err=%v stack=%q, want an error and no panic", results[12].Err, results[12].Stack)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(inits) == 0 || len(inits) > 3 {
-		t.Errorf("worker-state init ran for %d workers, want 1..3", len(inits))
-	}
-	for w, n := range inits {
-		if n != 1 {
-			t.Errorf("worker %d initialized %d times", w, n)
-		}
+	if len(uses) == 0 || len(uses) > workers {
+		t.Errorf("jobs saw %d distinct arenas on %d workers, want 1..%d", len(uses), workers, workers)
 	}
 	if st.Skipped != 12 {
 		t.Errorf("skips = %d, want 12", st.Skipped)
 	}
 }
 
-// BuildIn without WithWorkerState receives nil state, which the pooled
-// scenario builders treat as fresh construction.
+// A Build that declines its worker's arena and passes nil to
+// Scenario.World constructs a fresh world, and those jobs gather and
+// detect correctly.
 func TestBuildInWithoutWorkerState(t *testing.T) {
-	results, _ := New(2).Run(3, pooledGatherJobs(4))
+	results, _ := New(2).Run(3, gatherJobs(4, false))
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +273,9 @@ func TestWorkerDefaults(t *testing.T) {
 // deterministic line, the stack carried separately — and the jobs around
 // it on the same worker run untouched.
 func TestPanicContainedPerJob(t *testing.T) {
-	good := gatherJobs(1)[0]
+	good := gatherJobs(1, true)[0]
 	g := graph.Path(4)
-	boom := Job{Build: func(uint64) (*sim.World, int, error) {
+	boom := Job{Build: func(uint64, *gather.Arena) (*sim.World, int, error) {
 		w, err := sim.NewWorld(g, []sim.Agent{&bomb{sim.NewBase(1)}}, []int{0})
 		return w, 10, err
 	}}

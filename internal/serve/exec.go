@@ -98,35 +98,22 @@ func Execute(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*graph.Gra
 		return nil, nil, runner.Stats{}, err
 	}
 
-	// overlayFor fetches the request's churn overlay from the worker's
-	// pool (fresh when the runner carries no pool). Churn is per-instance:
-	// one seed for the whole request, so every row sees the same edge
-	// weather.
-	overlayFor := func(state any) *graph.Overlay {
-		seed := req.Seed ^ gather.ChurnSeedSalt
-		if p := gather.OverlayPoolOf(state); p != nil {
-			return p.Get(g, req.Churn, seed)
-		}
-		return graph.NewOverlay(g, req.Churn, seed)
-	}
-
+	// Churn is per-instance: one overlay seed for the whole request, so
+	// every row sees the same edge weather from its worker's pooled
+	// overlay.
+	ovSeed := req.Seed ^ gather.ChurnSeedSalt
 	jobs := make([]runner.Job, req.Seeds)
 	for i := range jobs {
 		scSeed := req.Seed + uint64(i)
 		jobs[i] = runner.Job{Meta: scSeed,
-			BuildIn: func(_ uint64, state any) (*sim.World, int, error) {
+			Build: func(_ uint64, a *gather.Arena) (*sim.World, int, error) {
 				// IDs, placement and scheduler all come from the row seed;
 				// the frozen graph is shared.
-				rng := graph.NewRNG(scSeed)
-				pos, err := PlaceRobots(g, req.Placement, req.K, rng)
+				sc, err := RowScenario(g, req.Placement, req.K, req.Sched, scSeed)
 				if err != nil {
 					return nil, 0, err
 				}
-				sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(req.K, g.N(), rng), Positions: pos}
-				if sc.Sched, err = BuildSched(req.Sched, scSeed); err != nil {
-					return nil, 0, err
-				}
-				w, cap, err := BuildWorld(sc, req.Algo, req.Radius, gather.ArenaOf(state))
+				w, cap, err := sc.World(a, req.Algo, req.Radius)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -140,7 +127,7 @@ func Execute(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*graph.Gra
 					return nil, 0, err
 				}
 				if req.Churn > 0 {
-					if err := w.SetOverlay(overlayFor(state)); err != nil {
+					if err := w.SetOverlay(a.Overlay(g, req.Churn, ovSeed)); err != nil {
 						return nil, 0, err
 					}
 				}
@@ -148,9 +135,7 @@ func Execute(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*graph.Gra
 			}}
 	}
 
-	r := runner.New(sweepWorkers(cfg.Parallel, req.Seeds)).
-		WithWorkerState(func(int) any { return gather.NewSweepState() })
-	results, st := r.RunCtx(ctx, req.Seed, jobs)
+	results, st := runner.New(sweepWorkers(cfg.Parallel, req.Seeds)).RunCtx(ctx, req.Seed, jobs)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, runner.Stats{}, err
 	}

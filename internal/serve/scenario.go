@@ -78,30 +78,20 @@ func PlaceRobots(g *graph.Graph, placement string, k int, rng *graph.RNG) ([]int
 	}
 }
 
-// BuildWorld loads the scenario into a world for the requested algorithm
-// and returns it with the algorithm-derived round cap (gather.AlgoCap).
-// A non-nil arena pools the world and agents across calls (sweep workers
-// hand each job their pooled arena); nil builds fresh.
-func BuildWorld(sc *gather.Scenario, algo string, radius int, arena *gather.Arena) (*sim.World, int, error) {
-	cap, err := sc.AlgoCap(algo, radius)
+// RowScenario derives one sweep row's scenario from its row seed: the
+// placement, then the IDs, both from one stream seeded by the row seed,
+// then the row's scheduler, all on the shared frozen graph g with the
+// default config. Sweep rows and hunt candidates both come from here, so
+// a seed means the same instance on every surface.
+func RowScenario(g *graph.Graph, placement string, k int, sched string, seed uint64) (*gather.Scenario, error) {
+	rng := graph.NewRNG(seed)
+	pos, err := PlaceRobots(g, placement, k, rng)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var w *sim.World
-	switch algo {
-	case "faster":
-		w, err = sc.NewFasterWorldIn(arena)
-	case "uxs":
-		w, err = sc.NewUXSWorldIn(arena)
-	case "undispersed":
-		w, err = sc.NewUndispersedWorldIn(arena)
-	case "hopmeet":
-		w, err = sc.NewHopMeetWorldIn(arena, radius)
-	case "dessmark":
-		w, err = sc.NewDessmarkWorldIn(arena)
-	case "beep":
-		// The beeping-model algorithm is defined for at most two robots.
-		w, err = sc.NewBeepWorldIn(arena)
+	sc := &gather.Scenario{G: g, IDs: gather.AssignIDs(k, g.N(), rng), Positions: pos}
+	if sc.Sched, err = BuildSched(sched, seed); err != nil {
+		return nil, err
 	}
-	return w, cap, err
+	return sc, nil
 }
