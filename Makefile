@@ -46,7 +46,7 @@ bench-smoke:
 #   awk -f scripts/benchledger.awk -v mode=append -v label=PRn \
 #       /tmp/bench-ledger.txt >> bench/LEDGER.ndjson
 bench-ledger:
-	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|SweepSharedGraph|WorldReset|SweepPooledWorld|RunnerSerialVsParallel' -benchtime 100ms . > /tmp/bench-ledger.txt
+	go test -run '^$$' -bench 'StepHotLoop|OverlayChurnStep|NeighborWalk|SweepSharedGraph|WorldReset|SweepPooledWorld|RunnerSerialVsParallel|FasterGatheringManyRobots' -benchtime 100ms . > /tmp/bench-ledger.txt
 	@cat /tmp/bench-ledger.txt
 	awk -f scripts/benchledger.awk -v mode=gate -v factor=3 -v skip='^BenchmarkBuildDirect/|^BenchmarkMemoryFootprint$$' bench/LEDGER.ndjson /tmp/bench-ledger.txt
 

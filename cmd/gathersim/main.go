@@ -291,6 +291,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 		return err
 	}
 	printResult(res)
+	printStepped(int64(res.Stepped), int64(res.Rounds))
 	return nil
 }
 
@@ -380,7 +381,18 @@ func runSweep(sr serve.SweepRequest, wl *graph.Workload, fs fault.Spec, parallel
 		fmt.Printf("wall %s, summed job time %s on %d workers\n",
 			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), st.Workers)
 	}
+	printStepped(st.Stepped, st.Rounds)
 	return nil
+}
+
+// printStepped renders, under -phases, how many of the simulated rounds
+// the engine stepped through its phases; it jumped the rest as quiet.
+// The NDJSON body carries no such count, so -ndjson prints only the
+// phases.
+func printStepped(stepped, rounds int64) {
+	if prof.PhasesEnabled() {
+		fmt.Printf("\nstepped rounds %d of %d\n", stepped, rounds)
+	}
 }
 
 // printPhases renders the engine's accumulated per-phase wall time (the

@@ -145,6 +145,7 @@ func TestEngineGoldenPooledReset(t *testing.T) {
 	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet"} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
+			t.Parallel()
 			arena := NewArena()
 			h := fnv.New64a()
 			for _, sc := range goldenInstances(algo) {
@@ -183,6 +184,7 @@ func TestPooledMatchesFreshAcrossSchedulers(t *testing.T) {
 		for _, spec := range []string{"full", "semi:0.6", "adv:2"} {
 			algo, spec := algo, spec
 			t.Run(algo+"/"+spec, func(t *testing.T) {
+				t.Parallel()
 				arena := NewArena()
 				for i, sc := range goldenInstances(algo)[:6] {
 					mkSched := func() sim.Scheduler {
@@ -248,6 +250,7 @@ func TestEngineGoldenFullSync(t *testing.T) {
 	for _, algo := range []string{"faster", "uxs", "undispersed", "hopmeet"} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
+			t.Parallel()
 			h := fnv.New64a()
 			for _, sc := range goldenInstances(algo) {
 				hashResult(h, runGolden(t, sc, algo))

@@ -52,6 +52,7 @@ type FasterAgent struct {
 	segs []segment //repolint:keep pure function of the retained cfg, identical for every run
 	si   int       // current segment index
 	lr   int       // local round within the current segment
+	dur  int       // duration of the current segment (0 for the self-timed UXS stage)
 
 	ug   *UG
 	hop  *HopMeet
@@ -79,6 +80,7 @@ func (a *FasterAgent) Reset(id int) {
 func (a *FasterAgent) enter(si int) {
 	a.si = si
 	a.lr = 0
+	a.dur = a.segLen(si)
 	a.ug, a.hop, a.uxsg = nil, nil, nil
 	switch s := a.segs[si]; s.kind {
 	case segUG:
@@ -103,12 +105,41 @@ func (a *FasterAgent) segLen(si int) int {
 	}
 }
 
+// Idle implements sim.Idler: the active controller's promise, capped at
+// the rounds left before the segment boundary, where the schedule
+// advances or detects.
+func (a *FasterAgent) Idle() int {
+	switch a.segs[a.si].kind {
+	case segUG:
+		return min(a.ug.Idle(), a.dur-a.lr)
+	case segHop:
+		return min(a.hop.Idle(), a.dur-a.lr)
+	default:
+		return a.uxsg.Idle()
+	}
+}
+
+// Skip implements sim.Idler. The self-timed UXS stage keeps no local
+// round of its own.
+func (a *FasterAgent) Skip(r int) {
+	switch a.segs[a.si].kind {
+	case segUG:
+		a.lr += r
+		a.ug.Skip(r)
+	case segHop:
+		a.lr += r
+		a.hop.Skip(r)
+	default:
+		a.uxsg.Skip(r)
+	}
+}
+
 // Compose implements sim.Agent, routing the communication phase to the
 // active controller.
 func (a *FasterAgent) Compose(env *sim.Env) []sim.Message {
 	switch a.segs[a.si].kind {
 	case segUG:
-		if a.lr < a.segLen(a.si) {
+		if a.lr < a.dur {
 			msgs := a.ug.Compose(env)
 			a.ug.Sync(&a.Self)
 			return msgs
@@ -125,14 +156,14 @@ func (a *FasterAgent) Decide(env *sim.Env) sim.Action {
 		s := a.segs[a.si]
 		switch s.kind {
 		case segHop:
-			if a.lr < a.segLen(a.si) {
+			if a.lr < a.dur {
 				a.lr++
 				return a.hop.Decide(env)
 			}
 			a.enter(a.si + 1) // hop duration elapsed: same-round fall-through
 
 		case segUG:
-			if a.lr < a.segLen(a.si) {
+			if a.lr < a.dur {
 				a.lr++
 				act := a.ug.Decide(env)
 				a.ug.Sync(&a.Self)

@@ -108,6 +108,28 @@ func (h *HopMeet) Done() bool { return h.r >= h.total }
 // Met reports whether this robot froze after meeting another robot.
 func (h *HopMeet) Met() bool { return h.frozen }
 
+// Idle is the controller's sim.Idler promise while its robot stays
+// alone: a frozen robot, or one whose bits are exhausted, holds position
+// to the end of the procedure; one in a 0-bit cycle, or whose
+// enumeration has finished, to the end of the cycle.
+func (h *HopMeet) Idle() int {
+	if h.r >= h.total {
+		return 0
+	}
+	left := h.total - h.r
+	cycle, off := h.r/h.cycleLen, h.r%h.cycleLen
+	switch {
+	case h.frozen || cycle >= len(h.bits):
+		return left
+	case !h.bits[cycle] || (off > 0 && h.enum.Done()):
+		return min(h.cycleLen-off, left)
+	}
+	return 0
+}
+
+// Skip advances the controller's round counter by r quiet rounds.
+func (h *HopMeet) Skip(r int) { h.r += r }
+
 // Decide consumes one round of the procedure.
 func (h *HopMeet) Decide(env *sim.Env) sim.Action {
 	if h.r >= h.total {
@@ -154,6 +176,13 @@ func (a *HopMeetAgent) Reset(id int) {
 	a.Base = sim.NewBase(id)
 	a.H.Reset(id)
 }
+
+// Idle implements sim.Idler. The round that brings the controller to its
+// full duration terminates, so the promise stops one round short of it.
+func (a *HopMeetAgent) Idle() int { return min(a.H.Idle(), a.H.total-a.H.r-1) }
+
+// Skip implements sim.Idler.
+func (a *HopMeetAgent) Skip(r int) { a.H.Skip(r) }
 
 // Decide implements sim.Agent.
 func (a *HopMeetAgent) Decide(env *sim.Env) sim.Action {

@@ -122,6 +122,31 @@ func minSansFinder(env *sim.Env, finderID, selfID int) int {
 	return min
 }
 
+// Idle is the controller's sim.Idler promise while its robot stays
+// alone: waiters, helpers (the token only from Phase 2 on, since it moves
+// on its finder's orders) and finders whose Phase 2 tour is done hold
+// position until R(n). A controller that has not read its round-0
+// co-location yet promises nothing.
+func (u *UG) Idle() int {
+	if !u.inited || u.r >= u.total {
+		return 0
+	}
+	switch u.state {
+	case StateFinder:
+		if u.r <= u.r1 || u.tourIdx < len(u.tour) {
+			return 0 // mapping, planning the tour, or touring
+		}
+	case StateHelper:
+		if u.isToken && u.r < u.r1 {
+			return 0
+		}
+	}
+	return u.total - u.r
+}
+
+// Skip advances the controller's round counter by r quiet rounds.
+func (u *UG) Skip(r int) { u.r += r }
+
 // Compose implements the communication half of the round.
 func (u *UG) Compose(env *sim.Env) []sim.Message {
 	if !u.inited {
@@ -282,6 +307,13 @@ func (a *UGAgent) Reset(id int) {
 	a.Base = sim.NewBase(id)
 	a.U.Reset(id)
 }
+
+// Idle implements sim.Idler. The controller's promise ends at R(n), the
+// round in which the agent terminates.
+func (a *UGAgent) Idle() int { return a.U.Idle() }
+
+// Skip implements sim.Idler.
+func (a *UGAgent) Skip(r int) { a.U.Skip(r) }
 
 // Compose implements sim.Agent.
 func (a *UGAgent) Compose(env *sim.Env) []sim.Message {

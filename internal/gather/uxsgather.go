@@ -1,6 +1,8 @@
 package gather
 
 import (
+	"math"
+
 	"repro/internal/sim"
 	"repro/internal/uxs"
 )
@@ -86,6 +88,32 @@ func (g *UXSG) aboutToTerminate(env *sim.Env) bool {
 	maxLive, _ := g.biggest(env)
 	return maxLive <= g.id
 }
+
+// Idle is the controller's sim.Idler promise while its robot stays
+// alone: a follower whose leader is elsewhere holds position
+// indefinitely; a leader holds it to the end of a waiting half, or of
+// the terminal wait, up to the round in which it terminates.
+func (g *UXSG) Idle() int {
+	switch {
+	case g.done:
+		return 0
+	case g.leader >= 0:
+		return math.MaxInt
+	}
+	phase, off := g.r/(2*g.T), g.r%(2*g.T)
+	switch {
+	case phase >= len(g.bits):
+		return max(g.waitEnd()-g.r, 0)
+	case g.bits[phase] && off >= g.T:
+		return 2*g.T - off // explored first, now waiting
+	case !g.bits[phase] && off < g.T:
+		return g.T - off // waiting first, exploring next
+	}
+	return 0
+}
+
+// Skip advances the controller's round counter by r quiet rounds.
+func (g *UXSG) Skip(r int) { g.r += r }
 
 // Compose broadcasts the termination order to followers in the same round
 // the leader terminates, so the whole group stops together (Lemma 4).
@@ -182,6 +210,12 @@ func (a *UXSGAgent) Reset(id int) {
 	a.Base = sim.NewBase(id)
 	a.G.Reset(id)
 }
+
+// Idle implements sim.Idler.
+func (a *UXSGAgent) Idle() int { return a.G.Idle() }
+
+// Skip implements sim.Idler.
+func (a *UXSGAgent) Skip(r int) { a.G.Skip(r) }
 
 // Compose implements sim.Agent.
 func (a *UXSGAgent) Compose(env *sim.Env) []sim.Message { return a.G.Compose(env) }

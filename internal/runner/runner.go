@@ -81,6 +81,7 @@ type Stats struct {
 	Failed  int
 	Workers int           // worker goroutines the batch ran on
 	Rounds  int64         // total simulated rounds across the batch
+	Stepped int64         // rounds the engine executed; the rest were jumped as quiet
 	Moves   int64         // total edge traversals across the batch
 	Wall    time.Duration // batch wall time
 	// Work is the sum of per-job wall times. On an otherwise idle
@@ -198,6 +199,7 @@ func collectStats(results []JobResult, wall time.Duration) Stats {
 			st.Skipped++
 		default:
 			st.Rounds += int64(res.Res.Rounds)
+			st.Stepped += int64(res.Res.Stepped)
 			st.Moves += res.Res.TotalMoves
 		}
 	}

@@ -36,3 +36,32 @@ func TestExecuteAppliesWorkerRule(t *testing.T) {
 		}
 	}
 }
+
+// TestQuietJumpStepTotals pins, at equality, how many rounds the engine
+// steps on two benchmark shapes; it jumps the rest while every robot is
+// alone and idle. On the sweep-faster shape (grid:3x4, k=7, maxmin) each
+// seed simulates 15,115 rounds and steps 7,680. On a serve-mix miss
+// (rreg:256,4, k=32, max_rounds 256) every robot waits alone after
+// round 0, so each row steps one round. A change that silently turns
+// the jump off fails here exactly, not somewhere in the timing noise.
+func TestQuietJumpStepTotals(t *testing.T) {
+	for _, c := range []struct {
+		body            string
+		rounds, stepped int64
+	}{
+		{`{"workload":"grid:3x4","k":7,"seed":1,"seeds":16}`, 16 * 15115, 16 * 7680},
+		{`{"workload":"rreg:256,4","k":32,"seed":1,"seeds":8,"max_rounds":256}`, 8 * 256, 8},
+	} {
+		req, err := ParseSweepRequest([]byte(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, st, err := Execute(context.Background(), req, ExecConfig{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rounds != c.rounds || st.Stepped != c.stepped {
+			t.Errorf("%s: stepped %d of %d rounds, want %d of %d", c.body, st.Stepped, st.Rounds, c.stepped, c.rounds)
+		}
+	}
+}

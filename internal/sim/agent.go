@@ -136,6 +136,25 @@ type Resettable interface {
 	Reset(id int)
 }
 
+// Idler is the optional quiet-round protocol of an Agent. World.Run uses
+// it to jump the round clock over rounds in which nothing can happen:
+// when every live robot is alone and idle, stepping those rounds would
+// only advance each agent's own counters, so Run advances them with Skip
+// instead (DESIGN.md, "Quiet-round jumps").
+type Idler interface {
+	Agent
+	// Idle returns how many rounds, starting with this one, the agent
+	// would compose nothing, stay put and change nothing but its own
+	// round counters, provided it stays alone. 0 means this round must
+	// be stepped. The engine asks only live (not terminated, not
+	// crashed) robots, and only while every live robot is alone.
+	Idle() int
+	// Skip advances exactly those counters by r rounds, leaving the
+	// agent in the state r stepped rounds alone would leave it in; r is
+	// at most the last Idle value.
+	Skip(r int)
+}
+
 // Base provides common Agent plumbing: ID and card storage plus a no-op
 // Compose. Algorithm agents embed it and override what they need.
 type Base struct {

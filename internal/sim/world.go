@@ -48,6 +48,13 @@ type World struct {
 
 	firstGather int // first round (boundary) at which all robots co-located
 	firstMeet   int // first round (boundary) at which any two robots co-located
+	stepped     int // rounds Step executed; Run jumped round - stepped
+
+	// idlers holds each agent's Idler view (nil when it has none). Run
+	// retakes the views on entry, so Reset and Step never assert: an
+	// uncached interface assertion may allocate, and both are 0-alloc.
+	//repolint:keep pooled grow-only storage; Run overwrites it before reading
+	idlers []Idler
 
 	// Per-round scratch, reused across Step calls: the engine runs for
 	// millions of rounds in the deeper experiment regimes, so the hot
@@ -177,7 +184,7 @@ func (w *World) Reset(agents []Agent, positions []int) error {
 		w.byz[i] = false
 		w.byzSeed[i] = 0
 	}
-	w.round = 0
+	w.round, w.stepped = 0, 0
 	w.firstGather, w.firstMeet = -1, -1
 	w.tracer = nil
 	w.sched = NewFullSync()
@@ -440,6 +447,7 @@ func (w *World) Step() {
 	w.applyMoves(s)
 	prof.PhaseEnd(prof.PhaseApply, t)
 	w.round++
+	w.stepped++
 	w.noteGather()
 	if w.tracer != nil {
 		w.tracer.Observe(w)
@@ -736,7 +744,8 @@ func (w *World) applyMoves(s *scratch) {
 
 // Result summarizes a finished (or aborted) run.
 type Result struct {
-	Rounds           int   // rounds executed
+	Rounds           int   // rounds simulated
+	Stepped          int   // rounds Step executed; Run jumped the other Rounds - Stepped
 	AllTerminated    bool  // every robot reached Terminate
 	Gathered         bool  // all robots on one node at the end
 	DetectionCorrect bool  // terminated, gathered, and every verdict is true
@@ -751,11 +760,96 @@ type Result struct {
 
 // Run steps the world until every robot terminates or maxRounds elapses,
 // and returns the run summary.
+//
+// Run jumps quiet rounds instead of stepping them: before each round it
+// asks whether every live robot is alone and idle (quietRounds), and if
+// so advances the clock and every live agent's counters by the smallest
+// promise at once. A jumped round is one in which no robot would have
+// spoken, moved or changed anything but its own round counters, so the
+// summary, and every agent's state, equals what stepping gives. Step
+// never jumps, and a caller that steps by hand (a per-round predicate, a
+// tracer) sees every round.
 func (w *World) Run(maxRounds int) Result {
+	jump := w.takeIdlers()
 	for w.round < maxRounds && !w.AllDone() {
+		if jump {
+			if d := w.quietRounds(maxRounds); d > 0 {
+				w.skip(d)
+				continue
+			}
+		}
 		w.Step()
 	}
 	return w.Summary()
+}
+
+// takeIdlers reports whether this run may jump quiet rounds at all, and
+// if so takes each agent's Idler view. The jump implements the paper's
+// fully-synchronous model only: SemiSync and Adversarial schedulers draw
+// per round, an overlay re-rolls churn per round, a Byzantine robot's
+// corruption stream is keyed by round, and a tracer must observe every
+// round — any of them keeps Run stepping.
+func (w *World) takeIdlers() bool {
+	if _, full := w.sched.(*FullSync); !full || w.tracer != nil || w.overlay != nil {
+		return false
+	}
+	for _, b := range w.byz {
+		if b {
+			return false
+		}
+	}
+	w.idlers = growSlice(w.idlers, len(w.agents))
+	for i, a := range w.agents {
+		w.idlers[i], _ = a.(Idler)
+	}
+	return true
+}
+
+// quietRounds returns how many rounds, starting with this one, Run may
+// jump: 0 unless no two live robots share a node and every live robot is
+// an Idler with a positive promise; otherwise the smallest promise,
+// bounded by maxRounds and by the next scheduled crash or recovery (a
+// fault due this round forces a step). Alone robots see no cards and no
+// messages, so each promise holds whatever the others do, and positions,
+// arrival ports, cards, occupancy and the first-meet/first-gather marks
+// cannot change inside the window.
+func (w *World) quietRounds(maxRounds int) int {
+	if w.occ.multi > 0 {
+		return 0
+	}
+	d := maxRounds - w.round
+	for i, idler := range w.idlers {
+		if w.crashed[i] {
+			if r := w.recoverAt[i]; r >= w.round {
+				d = min(d, r-w.round)
+			}
+			continue
+		}
+		if c := w.crashAt[i]; c >= w.round {
+			d = min(d, c-w.round)
+		}
+		if !w.done[i] {
+			if idler == nil {
+				return 0
+			}
+			d = min(d, idler.Idle())
+		}
+		if d <= 0 {
+			return 0
+		}
+	}
+	return d
+}
+
+// skip jumps d quiet rounds: every live agent advances its counters by d
+// and the round clock moves with them.
+func (w *World) skip(d int) {
+	for i, idler := range w.idlers {
+		if !w.done[i] && !w.crashed[i] {
+			idler.Skip(d)
+		}
+	}
+	w.round += d
 }
 
 // SafeRun is Run with panic containment: an algorithm that violates its
@@ -777,6 +871,7 @@ func (w *World) SafeRun(maxRounds int) (res Result, err error) {
 func (w *World) Summary() Result {
 	res := Result{
 		Rounds:           w.round,
+		Stepped:          w.stepped,
 		AllTerminated:    w.AllDone(),
 		Gathered:         w.AllColocated(),
 		FirstGatherRound: w.firstGather,
