@@ -323,27 +323,37 @@ func BenchmarkUndispersedGathering(b *testing.B) {
 	}
 }
 
+// BenchmarkFasterGatheringManyRobots runs Faster-Gathering with k = n/2+1
+// robots on a port-permuted 10-cycle. One op runs a fixed set of
+// instances, their IDs and max-min dispersed placements drawn once up
+// front, so ns/op and allocs/op measure the same work at every b.N;
+// "rounds" is the set's mean simulated rounds per instance.
 func BenchmarkFasterGatheringManyRobots(b *testing.B) {
 	rng := graph.NewRNG(6)
-	n := 10
-	g := graph.Cycle(n)
-	g = g.WithPermutedPorts(rng)
-	rounds := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := n/2 + 1
-		sc := &gather.Scenario{
+	n, k := 10, 6
+	g := graph.Cycle(n).WithPermutedPorts(rng)
+	set := make([]*gather.Scenario, 8)
+	for i := range set {
+		set[i] = &gather.Scenario{
 			G:         g,
 			IDs:       gather.AssignIDs(k, n, rng),
 			Positions: place.MaxMinDispersed(g, k, rng),
 		}
-		res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
-		if err != nil || !res.DetectionCorrect {
-			b.Fatalf("failed: %v %+v", err, res)
-		}
-		rounds = res.Rounds
 	}
-	b.ReportMetric(float64(rounds), "rounds")
+	rounds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rounds = 0
+		for _, sc := range set {
+			res, err := sc.Run("faster", 0, sc.Cfg.FasterBound(n)+10)
+			if err != nil || !res.DetectionCorrect {
+				b.Fatalf("failed: %v %+v", err, res)
+			}
+			rounds += res.Rounds
+		}
+	}
+	b.ReportMetric(float64(rounds)/float64(len(set)), "rounds")
 }
 
 func BenchmarkGraphBFS(b *testing.B) {

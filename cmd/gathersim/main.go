@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -74,7 +75,7 @@ func gathersim() int {
 		seeds     = flag.Int("seeds", 1, "run this many consecutive seeds as a parallel sweep on one shared graph (at most 65536)")
 		parallel  = flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS, 1 = serial); a sweep uses at most one worker per 8 seeds")
 		ndjson    = flag.Bool("ndjson", false, "emit the seed sweep as NDJSON rows through the sweep-service executor — byte-identical to a sweepd response for the same tuple")
-		phases    = flag.Bool("phases", false, "measure per-phase engine time (observe/communicate/decide/resolve/apply) and print the totals")
+		phases    = flag.Bool("phases", false, "measure per-phase engine time (observe/communicate/decide/resolve/apply) and print the totals and the stepped rounds (to stderr under -ndjson)")
 		maxRounds = flag.Int("max-rounds", 0, "round cap (0 = algorithm-derived bound)")
 		trace     = flag.Int("trace", 0, "log positions every N rounds (0 = off)")
 		dotFile   = flag.String("dot", "", "write the scenario graph (with start positions) as Graphviz DOT to this file")
@@ -145,7 +146,11 @@ func gathersim() int {
 		err = run(wl, *algo, *placement, *sched, *dotFile, fs, *churn, *k, *radius, *seed, *maxRounds, *trace)
 	}
 	if err == nil && *phases {
-		printPhases()
+		out := os.Stdout
+		if *ndjson {
+			out = os.Stderr // stdout is the NDJSON body
+		}
+		printPhases(out)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gathersim:", err)
@@ -291,7 +296,7 @@ func run(wl *graph.Workload, algo, placement, sched, dotFile string, fs fault.Sp
 		return err
 	}
 	printResult(res)
-	printStepped(int64(res.Stepped), int64(res.Rounds))
+	printStepped(os.Stdout, int64(res.Stepped), int64(res.Rounds))
 	return nil
 }
 
@@ -312,17 +317,20 @@ func runSweep(sr serve.SweepRequest, wl *graph.Workload, fs fault.Spec, parallel
 		return err
 	}
 	cfg := serve.ExecConfig{Parallel: parallel}
-	if ndjson {
-		body, err := serve.ExecuteNDJSON(context.Background(), req, cfg)
-		if err != nil {
-			return err
-		}
-		_, err = os.Stdout.Write(body)
-		return err
-	}
 	g, results, st, err := serve.Execute(context.Background(), req, cfg)
 	if err != nil {
 		return err
+	}
+	if ndjson {
+		body, err := serve.RenderNDJSON(req, g, results, st)
+		if err != nil {
+			return err
+		}
+		if _, err := os.Stdout.Write(body); err != nil {
+			return err
+		}
+		printStepped(os.Stderr, st.Stepped, st.Rounds)
+		return nil
 	}
 
 	base := req.Seed
@@ -381,36 +389,34 @@ func runSweep(sr serve.SweepRequest, wl *graph.Workload, fs fault.Spec, parallel
 		fmt.Printf("wall %s, summed job time %s on %d workers\n",
 			st.Wall.Round(time.Millisecond), st.Work.Round(time.Millisecond), st.Workers)
 	}
-	printStepped(st.Stepped, st.Rounds)
+	printStepped(os.Stdout, st.Stepped, st.Rounds)
 	return nil
 }
 
 // printStepped renders, under -phases, how many of the simulated rounds
 // the engine stepped through its phases; it jumped the rest as quiet.
-// The NDJSON body carries no such count, so -ndjson prints only the
-// phases.
-func printStepped(stepped, rounds int64) {
+func printStepped(w io.Writer, stepped, rounds int64) {
 	if prof.PhasesEnabled() {
-		fmt.Printf("\nstepped rounds %d of %d\n", stepped, rounds)
+		fmt.Fprintf(w, "\nstepped rounds %d of %d\n", stepped, rounds)
 	}
 }
 
 // printPhases renders the engine's accumulated per-phase wall time (the
 // -phases flag). Timings are measurement, not results: they vary run to
 // run, which is why the flag is off for the diffable determinism checks.
-func printPhases() {
+func printPhases(w io.Writer) {
 	totals := prof.PhaseTotals()
 	var sum time.Duration
 	for _, d := range totals {
 		sum += d
 	}
-	fmt.Printf("\nengine phases (%s total):\n", sum.Round(time.Microsecond))
+	fmt.Fprintf(w, "\nengine phases (%s total):\n", sum.Round(time.Microsecond))
 	for p, d := range totals {
 		pct := 0.0
 		if sum > 0 {
 			pct = 100 * float64(d) / float64(sum)
 		}
-		fmt.Printf("  %-12s %10s  %5.1f%%\n", prof.Phase(p), d.Round(time.Microsecond), pct)
+		fmt.Fprintf(w, "  %-12s %10s  %5.1f%%\n", prof.Phase(p), d.Round(time.Microsecond), pct)
 	}
 }
 

@@ -105,17 +105,17 @@ func (a *FasterAgent) segLen(si int) int {
 	}
 }
 
-// Idle implements sim.Idler: the active controller's promise, capped at
-// the rounds left before the segment boundary, where the schedule
-// advances or detects.
-func (a *FasterAgent) Idle() int {
+// Idle implements sim.Idler: the active controller's promise under env,
+// capped at the rounds left before the segment boundary, where the
+// schedule advances or detects.
+func (a *FasterAgent) Idle(env *sim.Env) int {
 	switch a.segs[a.si].kind {
 	case segUG:
-		return min(a.ug.Idle(), a.dur-a.lr)
+		return min(a.ug.Idle(env), a.dur-a.lr)
 	case segHop:
-		return min(a.hop.Idle(), a.dur-a.lr)
+		return min(a.hop.Idle(env), a.dur-a.lr)
 	default:
-		return a.uxsg.Idle()
+		return a.uxsg.Idle(env)
 	}
 }
 

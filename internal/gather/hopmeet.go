@@ -108,12 +108,13 @@ func (h *HopMeet) Done() bool { return h.r >= h.total }
 // Met reports whether this robot froze after meeting another robot.
 func (h *HopMeet) Met() bool { return h.frozen }
 
-// Idle is the controller's sim.Idler promise while its robot stays
-// alone: a frozen robot, or one whose bits are exhausted, holds position
-// to the end of the procedure; one in a 0-bit cycle, or whose
-// enumeration has finished, to the end of the cycle.
-func (h *HopMeet) Idle() int {
-	if h.r >= h.total {
+// Idle is the controller's sim.Idler promise under the view env. A robot
+// that is not frozen and not alone freezes this round, so it promises
+// nothing. Otherwise a frozen robot, or one whose bits are exhausted,
+// holds position to the end of the procedure; one in a 0-bit cycle, or
+// whose enumeration has finished, to the end of the cycle.
+func (h *HopMeet) Idle(env *sim.Env) int {
+	if h.r >= h.total || (!h.frozen && !env.Alone()) {
 		return 0
 	}
 	left := h.total - h.r
@@ -179,7 +180,7 @@ func (a *HopMeetAgent) Reset(id int) {
 
 // Idle implements sim.Idler. The round that brings the controller to its
 // full duration terminates, so the promise stops one round short of it.
-func (a *HopMeetAgent) Idle() int { return min(a.H.Idle(), a.H.total-a.H.r-1) }
+func (a *HopMeetAgent) Idle(env *sim.Env) int { return min(a.H.Idle(env), a.H.total-a.H.r-1) }
 
 // Skip implements sim.Idler.
 func (a *HopMeetAgent) Skip(r int) { a.H.Skip(r) }

@@ -122,30 +122,59 @@ func minSansFinder(env *sim.Env, finderID, selfID int) int {
 	return min
 }
 
-// Idle is the controller's sim.Idler promise while its robot stays
-// alone: waiters, helpers (the token only from Phase 2 on, since it moves
-// on its finder's orders) and finders whose Phase 2 tour is done hold
-// position until R(n). A controller that has not read its round-0
-// co-location yet promises nothing.
-func (u *UG) Idle() int {
-	if !u.inited || u.r >= u.total {
+// Idle is the controller's sim.Idler promise under the view env. A
+// controller that has not read its round-0 co-location yet promises
+// nothing, and neither does a finder that is still mapping, planning its
+// tour (at R₁) or touring; a finder whose map is done holds position
+// until R₁. Every other robot holds position, or follows, until R(n)
+// unless the Phase 2 rules would capture or re-point it under env, in
+// which case its promise ends where Phase 2 starts. The Phase 1 token
+// obeys only messages, and the inbox of a quiet round is empty.
+func (u *UG) Idle(env *sim.Env) int {
+	switch {
+	case !u.inited || u.r >= u.total:
 		return 0
-	}
-	switch u.state {
-	case StateFinder:
-		if u.r <= u.r1 || u.tourIdx < len(u.tour) {
-			return 0 // mapping, planning the tour, or touring
-		}
-	case StateHelper:
-		if u.isToken && u.r < u.r1 {
+	case u.state == StateFinder && u.r < u.r1:
+		if !u.builder.Done() {
 			return 0
 		}
+		return u.r1 - u.r
+	case u.state == StateFinder && (u.r == u.r1 || u.tourIdx < len(u.tour)):
+		return 0
+	case u.captured(env):
+		return max(u.r1-u.r, 0)
 	}
 	return u.total - u.r
 }
 
-// Skip advances the controller's round counter by r quiet rounds.
-func (u *UG) Skip(r int) { u.r += r }
+// captured reports whether a Phase 2 round under env would change this
+// robot's state: any finder captures a waiter, a finder with a smaller
+// groupid re-points a helper, and a finder or helper with a smaller
+// groupid captures or parks a finder.
+func (u *UG) captured(env *sim.Env) bool {
+	for _, c := range env.Others {
+		switch c.State {
+		case StateFinder:
+			if u.state == StateWaiter || c.GroupID < u.groupid {
+				return true
+			}
+		case StateHelper:
+			if u.state == StateFinder && c.GroupID < u.groupid {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Skip advances the controller's round counters by r quiet rounds: its
+// own and, in Phase 1, its map builder's.
+func (u *UG) Skip(r int) {
+	if u.state == StateFinder && u.r < u.r1 {
+		u.builder.Skip(r)
+	}
+	u.r += r
+}
 
 // Compose implements the communication half of the round.
 func (u *UG) Compose(env *sim.Env) []sim.Message {
@@ -310,7 +339,7 @@ func (a *UGAgent) Reset(id int) {
 
 // Idle implements sim.Idler. The controller's promise ends at R(n), the
 // round in which the agent terminates.
-func (a *UGAgent) Idle() int { return a.U.Idle() }
+func (a *UGAgent) Idle(env *sim.Env) int { return a.U.Idle(env) }
 
 // Skip implements sim.Idler.
 func (a *UGAgent) Skip(r int) { a.U.Skip(r) }

@@ -89,16 +89,29 @@ func (g *UXSG) aboutToTerminate(env *sim.Env) bool {
 	return maxLive <= g.id
 }
 
-// Idle is the controller's sim.Idler promise while its robot stays
-// alone: a follower whose leader is elsewhere holds position
-// indefinitely; a leader holds it to the end of a waiting half, or of
-// the terminal wait, up to the round in which it terminates.
-func (g *UXSG) Idle() int {
+// Idle is the controller's sim.Idler promise under the view env. A robot
+// that sees a larger terminated robot terminates, and one that sees a
+// live robot larger than its leader (or than itself, while leading)
+// re-points; neither promises anything. Otherwise a follower holds its
+// place behind its leader indefinitely, since the leader's own promise
+// ends before the round it terminates in; a leader holds position to the
+// end of a waiting half, or of the terminal wait, up to the round in
+// which it terminates.
+func (g *UXSG) Idle(env *sim.Env) int {
+	if g.done {
+		return 0
+	}
+	maxLive, doneBigger := g.biggest(env)
 	switch {
-	case g.done:
+	case doneBigger:
 		return 0
 	case g.leader >= 0:
+		if maxLive > g.leader {
+			return 0
+		}
 		return math.MaxInt
+	case maxLive > g.id:
+		return 0
 	}
 	phase, off := g.r/(2*g.T), g.r%(2*g.T)
 	switch {
@@ -212,7 +225,7 @@ func (a *UXSGAgent) Reset(id int) {
 }
 
 // Idle implements sim.Idler.
-func (a *UXSGAgent) Idle() int { return a.G.Idle() }
+func (a *UXSGAgent) Idle(env *sim.Env) int { return a.G.Idle(env) }
 
 // Skip implements sim.Idler.
 func (a *UXSGAgent) Skip(r int) { a.G.Skip(r) }

@@ -18,6 +18,7 @@ package mapping
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -81,9 +82,15 @@ type Builder struct {
 	cur int // map node currently occupied (-1 while at an unclassified frontier)
 
 	st      state
-	ops     []op
+	ops     []op // the op queue is ops[head:]; it is empty only as ops[:0]
+	head    int
 	nextSeq int
-	sentFor int // seq of the op Compose last serviced with a message
+	sentFor int            // seq of the op Compose last serviced with a message
+	msg     [1]sim.Message // Compose's reply; the engine copies it out the same round
+
+	// BFS scratch (see bfs), reused by every walk and tour the builder
+	// plans.
+	parent, down, up, queue []int
 
 	probeFrom   int // map node of the current probe's origin
 	probePort   int
@@ -110,11 +117,28 @@ func (b *Builder) push(o op) {
 	b.ops = append(b.ops, o)
 }
 
+// pop removes the head op. A drained queue rewinds to the start of its
+// storage, so the pushes that refill it reuse that storage instead of
+// allocating.
+func (b *Builder) pop() {
+	b.head++
+	if b.head == len(b.ops) {
+		b.clearOps()
+	}
+}
+
+// clearOps empties the op queue, keeping its storage.
+func (b *Builder) clearOps() { b.ops, b.head = b.ops[:0], 0 }
+
 // Done reports whether the map is complete and the finder is back home.
 func (b *Builder) Done() bool { return b.done }
 
 // Rounds returns how many rounds the builder has consumed.
 func (b *Builder) Rounds() int { return b.rounds }
+
+// Skip consumes r rounds in which the owner is idle: Decide would return
+// Stay and change nothing else. That holds only once the map is done.
+func (b *Builder) Skip(r int) { b.rounds += r }
 
 // Map finalizes and returns the learned map with the finder's starting
 // node as node 0. It must only be called once Done() is true.
@@ -151,14 +175,16 @@ func (b *Builder) Compose(env *sim.Env) []sim.Message {
 	if b.done || len(b.ops) == 0 {
 		return nil
 	}
-	head := b.ops[0]
+	head := b.ops[b.head]
 	switch head.kind {
 	case opTake:
 		b.sentFor = head.seq
-		return []sim.Message{{To: b.tokenID, Kind: sim.MsgTake}}
+		b.msg[0] = sim.Message{To: b.tokenID, Kind: sim.MsgTake}
+		return b.msg[:]
 	case opPark:
 		b.sentFor = head.seq
-		return []sim.Message{{To: b.tokenID, Kind: sim.MsgStayHere}}
+		b.msg[0] = sim.Message{To: b.tokenID, Kind: sim.MsgStayHere}
+		return b.msg[:]
 	}
 	return nil
 }
@@ -174,7 +200,7 @@ func (b *Builder) Decide(env *sim.Env) sim.Action {
 		mustEnsure(b.asm, 0, env.Degree)
 		b.cur = 0
 		if env.Degree == 0 { // n == 1: the map is the single node
-			b.ops = nil
+			b.clearOps()
 			b.done = true
 			return sim.StayAction()
 		}
@@ -207,21 +233,21 @@ func (b *Builder) Decide(env *sim.Env) sim.Action {
 		}
 	}
 
-	head := b.ops[0]
+	head := b.ops[b.head]
 	switch head.kind {
 	case opMove:
-		b.ops = b.ops[1:]
+		b.pop()
 		b.cur = head.dest
 		return sim.MoveAction(head.port)
 	case opCross:
-		b.ops = b.ops[1:]
+		b.pop()
 		b.cur = -1
 		return sim.MoveAction(head.port)
 	case opPark:
 		if b.sentFor != head.seq {
 			return sim.StayAction() // wait for Compose to service this op
 		}
-		b.ops = b.ops[1:]
+		b.pop()
 		b.frontierDeg = env.Degree
 		b.frontierArr = env.ArrivalPort
 		b.st = stParked
@@ -232,7 +258,7 @@ func (b *Builder) Decide(env *sim.Env) sim.Action {
 		if b.sentFor != head.seq {
 			return sim.StayAction()
 		}
-		b.ops = b.ops[1:]
+		b.pop()
 		if b.st == stRetrieve {
 			b.st = stIdle
 		}
@@ -244,7 +270,7 @@ func (b *Builder) Decide(env *sim.Env) sim.Action {
 // identify resolves the current probe: the frontier is known node x.
 func (b *Builder) identify(x int) {
 	mustSet(b.asm, b.probeFrom, b.probePort, x, b.frontierArr)
-	b.ops = nil
+	b.clearOps()
 	// The finder stands on the token at x: take it back immediately.
 	b.push(op{kind: opTake})
 	b.st = stRetrieve
@@ -294,88 +320,72 @@ func (b *Builder) planWalk(src, dst int) {
 	if src == dst {
 		return
 	}
-	prevNode, prevPort := b.bfsParents(dst)
-	if prevNode[src] < 0 && src != dst {
+	b.bfs(dst)
+	if b.parent[src] < 0 {
 		panic("mapping: partial map disconnected")
 	}
-	cur := src
-	for cur != dst {
-		p := prevPort[cur]
-		next := b.asm.Peek(cur, p).To
-		b.push(op{kind: opMove, port: p, dest: next})
-		cur = next
+	for cur := src; cur != dst; cur = b.parent[cur] {
+		b.push(op{kind: opMove, port: b.up[cur], dest: b.parent[cur]})
 	}
 }
 
-// bfsParents runs BFS over known edges toward dst and returns, for each
-// node, the next hop (node and port) on a shortest path to dst.
-func (b *Builder) bfsParents(dst int) (nextNode, nextPort []int) {
+// bfs builds a BFS tree over known edges from root into the builder's
+// scratch: for each reached node v other than root, parent[v] is the node
+// that discovered it, down[v] the port there that leads to v, and up[v]
+// the port at v that leads back. Root is its own parent, and unreached
+// nodes have parent -1. The scratch is reused across calls, so planning
+// allocates nothing once it has grown to the map's size.
+func (b *Builder) bfs(root int) {
 	nn := b.asm.NumNodes()
-	nextNode = make([]int, nn)
-	nextPort = make([]int, nn)
-	for i := range nextNode {
-		nextNode[i] = -1
-		nextPort[i] = -1
+	b.parent = slices.Grow(b.parent[:0], nn)[:nn]
+	b.down = slices.Grow(b.down[:0], nn)[:nn]
+	b.up = slices.Grow(b.up[:0], nn)[:nn]
+	for v := range b.parent {
+		b.parent[v], b.down[v], b.up[v] = -1, -1, -1
 	}
-	queue := []int{dst}
-	seen := make([]bool, nn)
-	seen[dst] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	b.parent[root] = root
+	queue := append(b.queue[:0], root)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		for p := 0; p < b.asm.Degree(u); p++ {
 			if !b.asm.EdgeKnown(u, p) {
 				continue
 			}
 			h := b.asm.Peek(u, p)
-			if !seen[h.To] {
-				seen[h.To] = true
-				nextNode[h.To] = u
-				nextPort[h.To] = h.RevPort
+			if b.parent[h.To] < 0 {
+				b.parent[h.To], b.down[h.To], b.up[h.To] = u, p, h.RevPort
 				queue = append(queue, h.To)
 			}
 		}
 	}
-	return nextNode, nextPort
+	b.queue = queue
 }
 
 // planTour appends a closed tour from root visiting every known node:
 // a DFS (Euler tour) over a BFS tree of the known map, 2·(known−1) moves.
 func (b *Builder) planTour(root int) {
-	nn := b.asm.NumNodes()
-	if nn <= 1 {
+	if b.asm.NumNodes() <= 1 {
 		return
 	}
-	// BFS tree rooted at root over known edges.
-	type kid struct{ node, down, up int }
-	children := make([][]kid, nn)
-	seen := make([]bool, nn)
-	seen[root] = true
-	queue := []int{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for p := 0; p < b.asm.Degree(u); p++ {
-			if !b.asm.EdgeKnown(u, p) {
-				continue
-			}
-			h := b.asm.Peek(u, p)
-			if !seen[h.To] {
-				seen[h.To] = true
-				children[u] = append(children[u], kid{node: h.To, down: p, up: h.RevPort})
-				queue = append(queue, h.To)
-			}
+	b.bfs(root)
+	b.tourFrom(root)
+}
+
+// tourFrom appends the Euler tour of the BFS tree below u: down into each
+// child in port order, around the child's subtree, and back up.
+func (b *Builder) tourFrom(u int) {
+	for p := 0; p < b.asm.Degree(u); p++ {
+		if !b.asm.EdgeKnown(u, p) {
+			continue
 		}
-	}
-	var dfs func(u int)
-	dfs = func(u int) {
-		for _, c := range children[u] {
-			b.push(op{kind: opMove, port: c.down, dest: c.node})
-			dfs(c.node)
-			b.push(op{kind: opMove, port: c.up, dest: u})
+		v := b.asm.Peek(u, p).To
+		if b.parent[v] != u || b.down[v] != p {
+			continue
 		}
+		b.push(op{kind: opMove, port: p, dest: v})
+		b.tourFrom(v)
+		b.push(op{kind: opMove, port: b.up[v], dest: u})
 	}
-	dfs(root)
 }
 
 func mustEnsure(a *graph.Assembler, v, deg int) {

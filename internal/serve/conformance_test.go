@@ -19,8 +19,8 @@ import (
 // the HTTP path produces is byte-identical to what `gathersim -ndjson`
 // writes for the same request, across worker counts, concurrent clients,
 // and the cache hit/miss/coalesced paths. The reference bytes come from
-// ExecuteNDJSON at Parallel 1 — the same function the CLI's -ndjson mode
-// calls — so a drift
+// ExecuteNDJSON at Parallel 1 — the same Execute and RenderNDJSON calls
+// the CLI's -ndjson mode makes — so a drift
 // anywhere in the serving stack (canonicalization, caching, queueing,
 // header handling) diffs loudly here.
 

@@ -149,9 +149,10 @@ func Execute(ctx context.Context, req *SweepRequest, cfg ExecConfig) (*graph.Gra
 
 // ExecuteNDJSON runs the request's seed sweep (Execute) and returns the
 // complete NDJSON response body: one header row, one row per seed in seed
-// order, one aggregate row. gathersim -ndjson calls this same function,
-// which is what makes service and CLI output byte-identical by
-// construction — and the conformance suite pins it by diff, not by trust.
+// order, one aggregate row (RenderNDJSON). gathersim -ndjson runs the
+// same two calls, which is what makes service and CLI output
+// byte-identical by construction — and the conformance suite pins it by
+// diff, not by trust.
 //
 // The body is materialized before it is returned: a response either
 // exists in full or not at all, so cached replays are byte-identical and
@@ -163,11 +164,12 @@ func ExecuteNDJSON(ctx context.Context, req *SweepRequest, cfg ExecConfig) ([]by
 	if err != nil {
 		return nil, err
 	}
-	return renderNDJSON(req, g, results, st)
+	return RenderNDJSON(req, g, results, st)
 }
 
-// renderNDJSON assembles the response body from a finished sweep.
-func renderNDJSON(req *SweepRequest, g *graph.Graph, results []runner.JobResult, st runner.Stats) ([]byte, error) {
+// RenderNDJSON assembles the response body from a finished sweep, as
+// ExecuteNDJSON does after Execute.
+func RenderNDJSON(req *SweepRequest, g *graph.Graph, results []runner.JobResult, st runner.Stats) ([]byte, error) {
 	var buf bytes.Buffer
 	head := headerRow{Spec: req.Canonical(), Graph: g.String()}
 	if d, ok := Diameter(g); ok {

@@ -38,18 +38,24 @@ func TestExecuteAppliesWorkerRule(t *testing.T) {
 }
 
 // TestQuietJumpStepTotals pins, at equality, how many rounds the engine
-// steps on two benchmark shapes; it jumps the rest while every robot is
-// alone and idle. On the sweep-faster shape (grid:3x4, k=7, maxmin) each
-// seed simulates 15,115 rounds and steps 7,680. On a serve-mix miss
-// (rreg:256,4, k=32, max_rounds 256) every robot waits alone after
-// round 0, so each row steps one round. A change that silently turns
-// the jump off fails here exactly, not somewhere in the timing noise.
+// steps on three shapes; it jumps the rest while every live robot's
+// promise under its view holds. On the sweep-faster shape (grid:3x4,
+// k=7, maxmin) each seed simulates 15,115 rounds, almost all of them
+// Step 2's Undispersed-Gathering, in which the finder and its token wait
+// together at home once the map is done; the 16-seed sweep steps 5,498
+// of its 241,840 rounds. The same wait dominates Undispersed-Gathering
+// from a clustered start.
+// On a serve-mix miss (rreg:256,4, k=32, max_rounds 256) every robot
+// waits alone after round 0, so each row steps one round. A change that
+// silently turns the jump off fails here exactly, not somewhere in the
+// timing noise.
 func TestQuietJumpStepTotals(t *testing.T) {
 	for _, c := range []struct {
 		body            string
 		rounds, stepped int64
 	}{
-		{`{"workload":"grid:3x4","k":7,"seed":1,"seeds":16}`, 16 * 15115, 16 * 7680},
+		{`{"workload":"grid:3x4","k":7,"seed":1,"seeds":16}`, 16 * 15115, 5498},
+		{`{"workload":"grid:3x4","algo":"undispersed","k":7,"placement":"clustered","seeds":16}`, 118992, 4895},
 		{`{"workload":"rreg:256,4","k":32,"seed":1,"seeds":8,"max_rounds":256}`, 8 * 256, 8},
 	} {
 		req, err := ParseSweepRequest([]byte(c.body))

@@ -138,20 +138,23 @@ type Resettable interface {
 
 // Idler is the optional quiet-round protocol of an Agent. World.Run uses
 // it to jump the round clock over rounds in which nothing can happen:
-// when every live robot is alone and idle, stepping those rounds would
-// only advance each agent's own counters, so Run advances them with Skip
-// instead (DESIGN.md, "Quiet-round jumps").
+// when every live robot promises to stay idle under the view it has,
+// stepping those rounds would only advance each agent's own counters, so
+// Run advances them with Skip instead (DESIGN.md, "Quiet-round jumps").
 type Idler interface {
 	Agent
 	// Idle returns how many rounds, starting with this one, the agent
-	// would compose nothing, stay put and change nothing but its own
-	// round counters, provided it stays alone. 0 means this round must
-	// be stepped. The engine asks only live (not terminated, not
-	// crashed) robots, and only while every live robot is alone.
-	Idle() int
+	// would compose nothing, return only Stay or Follow, and change
+	// nothing but round counters its card does not show, for as long as
+	// every round shows it env: this round's view (degree, arrival port
+	// and co-located cards) with an empty inbox. 0 means this round must
+	// be stepped. The engine asks only live (not terminated, not crashed)
+	// robots; env is valid only during the call, and Idle must not
+	// change the agent.
+	Idle(env *Env) int
 	// Skip advances exactly those counters by r rounds, leaving the
-	// agent in the state r stepped rounds alone would leave it in; r is
-	// at most the last Idle value.
+	// agent in the state r stepped rounds under the same view would
+	// leave it in; r is at most the last Idle value.
 	Skip(r int)
 }
 

@@ -31,7 +31,7 @@ func (s *sleeper) Decide(*Env) Action {
 	return StayAction()
 }
 
-func (s *sleeper) Idle() int {
+func (s *sleeper) Idle(*Env) int {
 	s.checkLive("Idle")
 	if s.lazy {
 		return 0
@@ -169,7 +169,7 @@ func TestQuietJumpStopsAtFaults(t *testing.T) {
 }
 
 // Anything that must see every round, or that draws per round, keeps
-// Run stepping; so do robots that are not alone, not Idlers, or not idle.
+// Run stepping; so do robots that are not Idlers or not idle.
 func TestQuietJumpPreconditions(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -202,10 +202,6 @@ func TestQuietJumpPreconditions(t *testing.T) {
 			if err := w.SetByzantine(2, 7); err != nil {
 				t.Fatal(err)
 			}
-			return w
-		}},
-		{"co-located", func(t *testing.T) *World {
-			w, _ := sleeperWorld(t, []int{60, 80}, []int{3, 3})
 			return w
 		}},
 		{"not-an-idler", func(t *testing.T) *World {
@@ -287,5 +283,180 @@ func TestSteppedCounter(t *testing.T) {
 	}
 	if res := w.Run(1000); res.Rounds != 81 || res.Stepped != 2 {
 		t.Fatalf("Run after Reset = %+v, want 81 rounds, 2 stepped", res)
+	}
+}
+
+// Co-located robots jump too: the promise is made against the round's
+// view, cards included, and two sleepers on one node keep theirs.
+func TestQuietJumpCoLocatedSleepers(t *testing.T) {
+	res := checkJumpMatchesStepping(t, 100, func() (*World, []*sleeper) {
+		return sleeperWorld(t, []int{60, 80}, []int{3, 3})
+	})
+	if res.Rounds != 81 || res.Stepped != 2 {
+		t.Errorf("Run = %+v, want 81 rounds of which 2 stepped (the two terminating rounds)", res)
+	}
+}
+
+// peer is a view-dependent Idler. Every period rounds of its clock
+// (period > 0) it broadcasts its clock; it terminates when its clock
+// reaches wake, or in the first round whose view shows a terminated
+// robot. Its promise is honest: it ends at its next speaking round or at
+// wake, and is 0 under a view with a terminated robot. It logs what it
+// hears and every view it is asked with, and counts the rounds in which
+// its card was read other than once (the view built twice).
+type peer struct {
+	Base
+	clock, wake, period int
+	heard               []Message
+	asked               []Env // views handed to Idle, Others copied
+	seen                []Env // views handed to Compose, Others copied
+	reads, rereads      int
+}
+
+func (p *peer) Card() Card {
+	p.reads++
+	return p.Self
+}
+
+func (p *peer) speaks() bool { return p.period > 0 && p.clock%p.period == 0 }
+
+func (p *peer) Idle(env *Env) int {
+	p.asked = append(p.asked, copyView(env))
+	switch {
+	case seesDone(env) || p.clock >= p.wake || p.speaks():
+		return 0
+	case p.period > 0:
+		return min(p.wake-p.clock, p.period-p.clock%p.period)
+	}
+	return p.wake - p.clock
+}
+
+func (p *peer) Skip(r int) {
+	p.clock += r
+	p.reads = 0 // a jump builds one view, and its card is read once
+}
+
+func (p *peer) Compose(env *Env) []Message {
+	p.seen = append(p.seen, copyView(env))
+	if p.speaks() && p.clock < p.wake && !seesDone(env) {
+		return []Message{{To: Broadcast, Kind: MsgCustom, A: p.clock}}
+	}
+	return nil
+}
+
+func (p *peer) Decide(env *Env) Action {
+	if p.reads != 1 {
+		p.rereads++
+	}
+	p.reads = 0
+	p.heard = append(p.heard, env.Inbox...)
+	if p.clock >= p.wake || seesDone(env) {
+		return TerminateAction(true)
+	}
+	p.clock++
+	return StayAction()
+}
+
+func seesDone(env *Env) bool {
+	for _, c := range env.Others {
+		if c.Done {
+			return true
+		}
+	}
+	return false
+}
+
+func copyView(env *Env) Env {
+	cp := *env
+	cp.Others = append([]Card(nil), env.Others...)
+	return cp
+}
+
+// peerWorld builds, on a 12-cycle, two speaking peers and a silent
+// watcher on node 3 and a lone silent peer on node 6. Robot 1 speaks
+// every 7 rounds and wakes at 60; robot 2 speaks every 10 rounds; the
+// watcher (robot 4) would sleep to 1000 but ends in the round after it
+// sees robot 1 terminated, as robot 2 does; robot 3 wakes at 45.
+func peerWorld(t *testing.T) (*World, []*peer) {
+	t.Helper()
+	ps := []*peer{
+		{Base: NewBase(1), wake: 60, period: 7},
+		{Base: NewBase(2), wake: 1000, period: 10},
+		{Base: NewBase(3), wake: 45},
+		{Base: NewBase(4), wake: 1000},
+	}
+	w, err := NewWorld(graph.Cycle(12), []Agent{ps[0], ps[1], ps[2], ps[3]}, []int{3, 3, 6, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, ps
+}
+
+// A co-located group that speaks from time to time: Run jumps the
+// silent stretches between speaking rounds, and a view-dependent promise
+// (the watcher's) is cut where a neighbour's ends. A round whose check
+// fails runs on to communicate, decide and move on the view the check
+// built, reading each card once, and ends where Step ends: the same
+// result, the same messages heard, the same clocks. Every view handed to
+// Idle is the view stepping shows in that round.
+func TestQuietJumpCoLocatedPeers(t *testing.T) {
+	w, ps := peerWorld(t)
+	ref, rs := peerWorld(t)
+	forceSteps(ref)
+	got, want := w.Run(1000), ref.Run(1000)
+	if !sameRun(got, want) {
+		t.Fatalf("jumped run diverged from stepping:\n got  %+v\n want %+v", got, want)
+	}
+	// Stepped: the 14 rounds in which robot 1 (0, 7, ..., 56) or robot 2
+	// (0, 10, ..., 50) speaks, robot 3's end at 45, robot 1's at 60, and
+	// round 61, in which robots 2 and 4 see it terminated.
+	if got.Rounds != 62 || got.Stepped != 17 || !got.AllTerminated {
+		t.Errorf("Run = %+v, want 62 rounds of which 17 stepped", got)
+	}
+	views := map[[2]int]Env{} // (robot, round) -> the view stepping showed
+	for i, p := range rs {
+		for _, v := range p.seen {
+			views[[2]int{i, v.Round}] = v
+		}
+	}
+	for i, p := range ps {
+		if p.clock != rs[i].clock || !reflect.DeepEqual(p.heard, rs[i].heard) {
+			t.Errorf("robot %d: clock %d, heard %v after jumping; clock %d, heard %v after stepping",
+				p.ID(), p.clock, p.heard, rs[i].clock, rs[i].heard)
+		}
+		if p.rereads != 0 || rs[i].rereads != 0 {
+			t.Errorf("robot %d: card read other than once in %d jumped-run and %d stepped-run rounds", p.ID(), p.rereads, rs[i].rereads)
+		}
+		for _, v := range p.asked {
+			if want, ok := views[[2]int{i, v.Round}]; !ok || !reflect.DeepEqual(v, want) {
+				t.Errorf("robot %d asked with %+v in round %d; stepping showed %+v", p.ID(), v, v.Round, want)
+			}
+		}
+	}
+	if d := ps[3].clock; d != 61 {
+		t.Errorf("watcher ended with clock %d, want 61: its window was not cut at robot 1's end", d)
+	}
+}
+
+// A pooled world that jumps and steps a co-located group allocates only
+// the result's FinalPositions copy: the view, the promises and the jump
+// reuse the engine's scratch.
+func TestQuietJumpZeroAllocs(t *testing.T) {
+	w, ss := sleeperWorld(t, []int{60, 80, 90}, []int{3, 3, 7})
+	agents := []Agent{ss[0], ss[1], ss[2]}
+	run := func() {
+		for _, s := range ss {
+			s.Reset(s.ID())
+		}
+		if err := w.Reset(agents, []int{3, 3, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if res := w.Run(1000); res.Rounds != 91 || res.Stepped != 3 {
+			t.Fatalf("Run = %+v, want 91 rounds of which 3 stepped", res)
+		}
+	}
+	run() // warm the scratch and the Idler assertions
+	if allocs := testing.AllocsPerRun(50, run); allocs != 1 {
+		t.Errorf("jumping run allocates %.1f times per run, want 1 (Result.FinalPositions)", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/prof"
@@ -422,6 +423,15 @@ func (w *World) noteGather() {
 // predictable branch, so the hot loop stays allocation-free and the 0-alloc
 // CI gates hold. The snapshot sub-phase is accounted to Observe.
 func (w *World) Step() {
+	s, t := w.observeRound()
+	w.finishRound(s, prof.PhaseNext(prof.PhaseObserve, t))
+}
+
+// observeRound opens a round: it rolls churn, applies the faults due,
+// asks the scheduler which robots act and builds every acting robot's
+// view. It returns the scratch holding the views and the open observe
+// timing span.
+func (w *World) observeRound() (*scratch, time.Time) {
 	s := w.ensureScratch()
 	if w.overlay != nil {
 		// Round 0 must see round-0 churn: a pooled overlay advanced by an
@@ -437,7 +447,13 @@ func (w *World) Step() {
 	t := prof.PhaseStart()
 	w.snapshotCards(s)
 	w.observe(s)
-	t = prof.PhaseNext(prof.PhaseObserve, t)
+	return s, t
+}
+
+// finishRound runs the rest of the round on the view observe built:
+// communicate, decide, resolve and apply, then closes the round. t opens
+// the communicate phase's timing span.
+func (w *World) finishRound(s *scratch, t time.Time) {
 	w.communicate(s)
 	t = prof.PhaseNext(prof.PhaseCommunicate, t)
 	w.decide(s)
@@ -761,24 +777,22 @@ type Result struct {
 // Run steps the world until every robot terminates or maxRounds elapses,
 // and returns the run summary.
 //
-// Run jumps quiet rounds instead of stepping them: before each round it
-// asks whether every live robot is alone and idle (quietRounds), and if
-// so advances the clock and every live agent's counters by the smallest
-// promise at once. A jumped round is one in which no robot would have
-// spoken, moved or changed anything but its own round counters, so the
-// summary, and every agent's state, equals what stepping gives. Step
-// never jumps, and a caller that steps by hand (a per-round predicate, a
-// tracer) sees every round.
+// Run jumps quiet rounds instead of stepping them (stepOrJump): it builds
+// each round's view once and asks every live robot how long it stays
+// idle under that view, then either advances the clock and every live
+// agent's counters by the smallest promise at once, or finishes the round
+// on the same view. A jumped round is one in which no robot would have
+// spoken, moved or changed its card, so the summary, and every agent's
+// state, equals what stepping gives. Step never jumps, and a caller that
+// steps by hand (a per-round predicate, a tracer) sees every round.
 func (w *World) Run(maxRounds int) Result {
 	jump := w.takeIdlers()
 	for w.round < maxRounds && !w.AllDone() {
 		if jump {
-			if d := w.quietRounds(maxRounds); d > 0 {
-				w.skip(d)
-				continue
-			}
+			w.stepOrJump(maxRounds)
+		} else {
+			w.Step()
 		}
-		w.Step()
 	}
 	return w.Summary()
 }
@@ -805,36 +819,60 @@ func (w *World) takeIdlers() bool {
 	return true
 }
 
-// quietRounds returns how many rounds, starting with this one, Run may
-// jump: 0 unless no two live robots share a node and every live robot is
-// an Idler with a positive promise; otherwise the smallest promise,
-// bounded by maxRounds and by the next scheduled crash or recovery (a
-// fault due this round forces a step). Alone robots see no cards and no
-// messages, so each promise holds whatever the others do, and positions,
-// arrival ports, cards, occupancy and the first-meet/first-gather marks
-// cannot change inside the window.
-func (w *World) quietRounds(maxRounds int) int {
-	if w.occ.multi > 0 {
-		return 0
+// stepOrJump runs one round of a jumping Run: it builds the round's view
+// and, unless a crash or recovery is due this round, asks every live
+// robot for its promise under it (quietRounds). A positive minimum is
+// jumped; otherwise the round runs on to its end on the view already
+// built, exactly as Step would run it. Building the view of a jumped
+// round is timed as observe.
+func (w *World) stepOrJump(maxRounds int) {
+	d := w.faultFree(maxRounds)
+	s, t := w.observeRound()
+	if d > 0 {
+		d = w.quietRounds(s, d)
 	}
+	if d == 0 {
+		w.finishRound(s, prof.PhaseNext(prof.PhaseObserve, t))
+		return
+	}
+	prof.PhaseEnd(prof.PhaseObserve, t)
+	w.skip(d)
+}
+
+// faultFree returns how many rounds, starting with this one, pass before
+// the next scheduled crash or recovery, bounded by maxRounds: 0 when a
+// fault is due this round.
+func (w *World) faultFree(maxRounds int) int {
 	d := maxRounds - w.round
-	for i, idler := range w.idlers {
+	for i := range w.agents {
 		if w.crashed[i] {
 			if r := w.recoverAt[i]; r >= w.round {
 				d = min(d, r-w.round)
 			}
-			continue
-		}
-		if c := w.crashAt[i]; c >= w.round {
+		} else if c := w.crashAt[i]; c >= w.round {
 			d = min(d, c-w.round)
 		}
-		if !w.done[i] {
-			if idler == nil {
-				return 0
-			}
-			d = min(d, idler.Idle())
+	}
+	return d
+}
+
+// quietRounds returns how many rounds Run may jump, at most d: the
+// smallest promise of the live robots under this round's view, or 0 if
+// one of them is not an Idler. The argument is an induction over the
+// window: while every live robot keeps its promise, no robot speaks,
+// moves, terminates or changes its card, and no fault fires, so every
+// round shows every robot the same view and every promise still holds.
+// Positions, arrival ports, cards, occupancy and the first-meet and
+// first-gather marks cannot change inside the window.
+func (w *World) quietRounds(s *scratch, d int) int {
+	for i, idler := range w.idlers {
+		if w.done[i] || w.crashed[i] {
+			continue
 		}
-		if d <= 0 {
+		if idler == nil {
+			return 0
+		}
+		if d = min(d, idler.Idle(&s.envs[i])); d <= 0 {
 			return 0
 		}
 	}
